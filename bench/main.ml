@@ -1,27 +1,20 @@
-(* The benchmark harness, in two parts:
+(* The engine benchmark harness. The paper's tables and figures are
+   regenerated by [sbgp_sim exp]; this executable measures the engine.
 
-   1. Regenerate every table and figure of the paper's evaluation on
-      the synthetic Internet (scale with SBGP_N; default 500) —
-      rows/series in paper order, recorded against the paper in
-      EXPERIMENTS.md.
+   --json PATH: a machine-readable engine-kernel suite written as
+   BENCH_engine.json (schema "sbgp-bench-v1"): the per-round kernels
+   the engine's wall clock is made of (statics build, fused forest
+   sweep, flip probe) at workers 1 and the configured count, one full
+   engine run (rounds/s), a statics-budget differential (bounded store
+   must match the unbounded run), and peak RSS. --smoke shrinks the
+   graph and time quotas to seconds-scale so the suite can gate
+   [dune runtest] via the [bench-smoke] alias; --scale appends the
+   N-scaling series; --compare PATH diffs against a committed file.
 
-   2. Bechamel microbenchmarks: one [Test.make] per table/figure,
-      timing that artifact's computational kernel at a small fixed
-      scale so regressions in the routing/engine hot paths are
-      visible.
+   --json PATH --scale-smoke: the runtest-sized N-scaling contract
+   instead (see [run_scale_smoke]).
 
-   3. --json PATH: a machine-readable engine-kernel suite written as
-      BENCH_engine.json (schema "sbgp-bench-v1"): the per-round
-      kernels the engine's wall clock is made of (statics build,
-      fused forest sweep, flip probe) at workers 1 and the configured
-      count, one full engine run (rounds/s), a statics-budget
-      differential (bounded store must match the unbounded run), and
-      peak RSS. Runs instead of parts 1-2. --smoke shrinks the graph
-      and time quotas to seconds-scale so the suite can gate
-      [dune runtest] via the [bench-smoke] alias.
-
-   Flags: --bench-only skips part 1, --no-bench skips part 2,
-   --workers N pins the engine sweep's worker-domain count (default:
+   --workers N pins the worker-domain count (default:
    Parallel.Pool.default_workers, i.e. SBGP_WORKERS or one per spare
    core). The engine kernels additionally time a fixed workers=1 run
    so the parallel overhead/speedup at the chosen count is visible. *)
@@ -48,280 +41,13 @@ let str_flag name =
 let workers = max 1 (int_flag "--workers" (Parallel.Pool.default_workers ()))
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: the paper's tables and figures. *)
-
-let run_experiments () =
-  let n = Experiments.Scenario.default_n () in
-  Printf.printf
-    "=== Reproducing the paper's evaluation (synthetic Internet, N = %d; set SBGP_N to \
-     rescale) ===\n\n%!"
-    n;
-  let scenario = Experiments.Scenario.create ~n () in
-  Experiments.Registry.run_streaming scenario (fun e table dt ->
-      Printf.printf "== %s: %s  [%.1fs]\n%s\n%!" e.id e.title dt
-        (Nsutil.Table.to_string table))
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel kernels. *)
-
-let kernels () =
-  let open Bechamel in
-  (* Small fixed-scale setup shared by the kernels (prepared outside
-     the staged functions; per-destination caches are primed so the
-     kernels measure steady-state work). *)
-  let scenario = Experiments.Scenario.create ~n:120 ~seed:3 () in
-  let g = Experiments.Scenario.graph scenario in
-  let statics = scenario.statics in
-  let n = Asgraph.Graph.n g in
-  for d = 0 to n - 1 do
-    ignore (Bgp.Route_static.get statics d)
-  done;
-  let aug_statics = Lazy.force scenario.statics_aug in
-  for d = 0 to n - 1 do
-    ignore (Bgp.Route_static.get aug_statics d)
-  done;
-  let early = Experiments.Scenario.case_study_adopters scenario in
-  let cfg_case = { Core.Config.default with workers } in
-  let weight = Experiments.Scenario.weights scenario cfg_case in
-  let engine_run ?(augmented = false) cfg early =
-    let stats = if augmented then aug_statics else statics in
-    let graph = Bgp.Route_static.graph stats in
-    let state =
-      Core.State.create graph ~early ~simplex:(not cfg.Core.Config.disable_simplex)
-        ~secp:(not cfg.Core.Config.disable_secp)
-    in
-    Core.Engine.run cfg stats ~weight ~state
-  in
-  let remorse = Gadgets.Remorse.build () in
-  let remorse_statics = Bgp.Route_static.create remorse.graph in
-  let chicken = Gadgets.Chicken.build () in
-  let chicken_statics = Bgp.Route_static.create chicken.graph in
-  let setcover =
-    Gadgets.Setcover.build
-      Gadgets.Setcover.
-        { universe = 6; subsets = [ [| 0; 1; 2 |]; [| 2; 3 |]; [| 3; 4; 5 |] ] }
-  in
-  let scratch = Bgp.Forest.make_scratch n in
-  let zeros = Bytes.make n '\000' in
-  [
-    Test.make ~name:"table1/diamond-scan"
-      (Staged.stage (fun () -> Core.Analyses.diamonds statics ~early));
-    Test.make ~name:"table2/graph-summary"
-      (Staged.stage (fun () -> Asgraph.Metrics.summary g));
-    Test.make ~name:"table3/cp-path-lengths"
-      (Staged.stage (fun () ->
-           List.map
-             (fun cp -> Bgp.Route_static.mean_path_length statics ~from:cp)
-             (Experiments.Scenario.cps scenario)));
-    Test.make ~name:"table4/degrees"
-      (Staged.stage (fun () -> Asgraph.Metrics.degree_array g));
-    Test.make ~name:"fig3-7/case-study-run"
-      (Staged.stage (fun () -> engine_run cfg_case early));
-    (* The same run pinned to one worker: the gap against the row
-       above is the sweep's parallel speedup (or overhead). *)
-    Test.make ~name:"engine/sweep-workers-1"
-      (Staged.stage (fun () -> engine_run { cfg_case with workers = 1 } early));
-    Test.make
-      ~name:(Printf.sprintf "engine/sweep-workers-%d" workers)
-      (Staged.stage (fun () -> engine_run cfg_case early));
-    Test.make ~name:"fig8/theta-30pc-run"
-      (Staged.stage (fun () ->
-           engine_run { cfg_case with theta = 0.3; theta_off = 0.3 } early));
-    Test.make ~name:"fig9/secure-path-count"
-      (Staged.stage (fun () ->
-           let state = Core.State.create g ~early in
-           Core.Analyses.secure_path_stats cfg_case statics state ~weight));
-    Test.make ~name:"fig10/tiebreak-distribution"
-      (Staged.stage (fun () ->
-           Core.Analyses.tiebreak_distribution statics ~among:(fun _ -> true)));
-    Test.make ~name:"fig11/no-stub-tiebreak-run"
-      (Staged.stage (fun () -> engine_run { cfg_case with stub_tiebreak = false } early));
-    Test.make ~name:"fig12/augmented-graph-run"
-      (Staged.stage (fun () -> engine_run ~augmented:true cfg_case early));
-    Test.make ~name:"fig13/remorse-dynamics"
-      (Staged.stage (fun () ->
-           let state = Gadgets.Remorse.initial_state remorse in
-           Core.Engine.run Gadgets.Remorse.config remorse_statics ~weight:remorse.weight
-             ~state));
-    Test.make ~name:"fig14/theta-0-run"
-      (Staged.stage (fun () -> engine_run { cfg_case with theta = 0.0 } early));
-    Test.make ~name:"oscillation/chicken-dynamics"
-      (Staged.stage (fun () ->
-           let state =
-             Core.State.create chicken.graph ~early:chicken.early ~frozen:chicken.frozen
-           in
-           Core.Engine.run Gadgets.Chicken.config chicken_statics ~weight:chicken.weight
-             ~state));
-    Test.make ~name:"setcover/reduction-run"
-      (Staged.stage (fun () ->
-           Gadgets.Setcover.secure_after setcover ~early:[ setcover.s1.(0) ]));
-    Test.make ~name:"attacks/appendix-b"
-      (Staged.stage (fun () ->
-           ( Bgpsec.Attack.appendix_b ~prefer_partial:false,
-             Bgpsec.Attack.appendix_b ~prefer_partial:true )));
-    Test.make ~name:"ablations/no-secp-run"
-      (Staged.stage (fun () -> engine_run { cfg_case with disable_secp = true } early));
-    Test.make ~name:"resilience/one-hijack"
-      (Staged.stage (fun () ->
-           let state = Core.State.create g ~early in
-           Core.Resilience.simulate_attack statics state ~stub_tiebreak:true
-             ~tiebreak:cfg_case.tiebreak ~attacker:0 ~victim:(n - 1)));
-    Test.make ~name:"secpriority/security-first-hijack"
-      (Staged.stage (fun () ->
-           let state = Core.State.create g ~early in
-           Core.Resilience.simulate_attack_ranked statics state ~stub_tiebreak:true
-             ~tiebreak:cfg_case.tiebreak ~position:Bgp.Flexsim.Before_lp ~attacker:0
-             ~victim:(n - 1)));
-    Test.make ~name:"pricing/customer-volumes"
-      (Staged.stage (fun () ->
-           let state = Core.State.create g ~early in
-           Core.Utility.customer_volumes
-             { cfg_case with model = Core.Config.Incoming }
-             statics state ~weight));
-    Test.make ~name:"jitter/jittered-run"
-      (Staged.stage (fun () -> engine_run { cfg_case with theta_jitter = 1.0 } early));
-    Test.make ~name:"evolution/grow-15pc"
-      (Staged.stage (fun () ->
-           Topology.Evolve.grow g ~new_stubs:(n / 7) ~secure_bias:2.0
-             ~is_secure:(fun i -> i mod 2 = 0)
-             ~seed:3));
-    Test.make ~name:"selector/k3-single-on"
-      (Staged.stage
-         (let sel = Gadgets.Selector.build ~k:3 () in
-          fun () -> Gadgets.Selector.run_from sel ~on:[ 0 ]));
-    (* Kernel primitives under everything above. *)
-    Test.make ~name:"kernel/route-static-one-dest"
-      (Staged.stage (fun () -> Bgp.Route_static.compute g (n - 1)));
-    Test.make ~name:"kernel/forest-one-dest"
-      (Staged.stage (fun () ->
-           Bgp.Forest.compute
-             (Bgp.Route_static.get statics (n - 1))
-             ~tiebreak:cfg_case.tiebreak ~secure:zeros ~use_secp:zeros ~weight scratch));
-    Test.make ~name:"kernel/sha256-1KiB"
-      (Staged.stage
-         (let buf = String.make 1024 'x' in
-          fun () -> Scrypto.Sha256.digest_string buf));
-    Test.make ~name:"kernel/checkpoint-write-load-32KiB"
-      (Staged.stage
-         (let digest = Scrypto.Sha256.digest_string "bench" in
-          let payload = String.make 32768 'p' in
-          fun () ->
-            Core.Checkpoint.write ~path:"ckpt.bench" ~digest ~round:1 payload;
-            Core.Checkpoint.load_exn ~path:"ckpt.bench" ~digest));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  Printf.printf "=== Bechamel kernels (one per table/figure; N = 120) ===\n\n%!";
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let table = Nsutil.Table.create ~header:[ "kernel"; "time/run"; "r^2" ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| "run" |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          let time_ns =
-            match Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> nan
-          in
-          let pretty =
-            if Float.is_nan time_ns then "-"
-            else if time_ns > 1e9 then Printf.sprintf "%.2f s" (time_ns /. 1e9)
-            else if time_ns > 1e6 then Printf.sprintf "%.2f ms" (time_ns /. 1e6)
-            else if time_ns > 1e3 then Printf.sprintf "%.2f us" (time_ns /. 1e3)
-            else Printf.sprintf "%.0f ns" time_ns
-          in
-          let r2 =
-            match Analyze.OLS.r_square ols with
-            | Some r -> Printf.sprintf "%.3f" r
-            | None -> "-"
-          in
-          Nsutil.Table.add_row table [ name; pretty; r2 ])
-        ols)
-    (kernels ());
-  Nsutil.Table.print table
-
-(* One case-study run per worker count, with the incremental sweep's
-   cache effectiveness — complements the Bechamel rows with the stats
-   the timing numbers depend on. *)
-let report_engine_sweep () =
-  let scenario = Experiments.Scenario.create ~n:120 ~seed:3 () in
-  let g = Experiments.Scenario.graph scenario in
-  let early = Experiments.Scenario.case_study_adopters scenario in
-  let weight = Experiments.Scenario.weights scenario Core.Config.default in
-  Printf.printf "=== Engine sweep: workers x incremental cache (N = 120) ===\n\n%!";
-  List.iter
-    (fun theta ->
-      List.iter
-        (fun w ->
-          let cfg = { Core.Config.default with workers = w; theta; theta_off = theta } in
-          let state = Core.State.create g ~early in
-          let t0 = Unix.gettimeofday () in
-          let result = Core.Engine.run cfg scenario.statics ~weight ~state in
-          let dt = Unix.gettimeofday () -. t0 in
-          Printf.printf
-            "theta=%.2f workers=%d: %.3fs, %d rounds; %d dest recomputes, %d cache \
-             hits (%.1f%% hit rate)\n%!"
-            theta w dt
-            (Core.Engine.rounds_run result)
-            result.dest_recomputed result.dest_reused
-            (100.0 *. Core.Engine.cache_hit_rate result))
-        (if workers = 1 then [ 1 ] else [ 1; workers ]))
-    [ 0.05; 0.30 ];
-  print_newline ()
-
-(* Fault tolerance: the case-study run with injected worker faults and
-   the default retry budget, against the clean run — the supervision
-   layer must absorb the faults without changing a single float. *)
-let report_fault_tolerance () =
-  let scenario = Experiments.Scenario.create ~n:120 ~seed:3 () in
-  let g = Experiments.Scenario.graph scenario in
-  let early = Experiments.Scenario.case_study_adopters scenario in
-  let weight = Experiments.Scenario.weights scenario Core.Config.default in
-  let cfg = { Core.Config.default with workers } in
-  let run ?faults () =
-    let state = Core.State.create g ~early in
-    let t0 = Unix.gettimeofday () in
-    let r = Core.Engine.run ?faults cfg scenario.statics ~weight ~state in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Printf.printf "=== Fault tolerance: injected worker faults vs clean run (N = 120) ===\n\n%!";
-  let clean, dt_clean = run () in
-  let faults = Nsutil.Faults.create ~rate:0.02 ~budget:cfg.retries ~seed:11 () in
-  let faulted, dt_faulted = run ~faults () in
-  let identical =
-    clean.Core.Engine.rounds = faulted.Core.Engine.rounds
-    && clean.baseline = faulted.baseline
-    && clean.termination = faulted.termination
-    && clean.dest_recomputed = faulted.dest_recomputed
-    && clean.dest_reused = faulted.dest_reused
-  in
-  Printf.printf
-    "clean: %.3fs; faulted: %.3fs (%d of %d shots fired, retry budget %d); identical \
-     results: %b\n\n%!"
-    dt_clean dt_faulted
-    (Nsutil.Faults.fired faults)
-    (Nsutil.Faults.shots faults)
-    cfg.retries identical;
-  if not identical then begin
-    prerr_endline "bench: faulted run diverged from clean run";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Part 3: machine-readable engine-kernel suite (--json PATH). *)
+(* Machine-readable engine-kernel suite (--json PATH). *)
 
 let smoke = flag "--smoke"
 
 (* Warm up once, then repeat until both floors are met; returns
-   (total seconds, repetitions). Hand-rolled rather than Bechamel so
-   each repetition is a full sweep-scale kernel, not a staged
-   nanosecond probe. *)
+   (total seconds, repetitions). Each repetition is a full
+   sweep-scale kernel. *)
 let time_kernel ~min_time ~min_reps f =
   ignore (Sys.opaque_identity (f ()));
   let t0 = Unix.gettimeofday () in
@@ -683,13 +409,11 @@ let run_json_bench ~path =
   Printf.printf "statics repair differential: %d destinations bit-identical\n%!"
     (Asgraph.Graph.n grown);
   (* Checkpoint churn: what one epoch boundary pays for durability —
-     snapshot the warm store, frame and write it as a churn record
-     through the checksummed checkpoint protocol, then load it back
-     and restore a store from it (the resume half). ns/op is per
-     snapshotted destination, which keeps the smoke-vs-committed
-     compare roughly scale-normalized (each record also grows with n,
-     so the per-destination figure still rises with scale — compare
-     ratios sit below 1 like statics_build's). *)
+     snapshot the warm store's image, frame and write it as a churn
+     record through the checksummed checkpoint protocol, then load it
+     back and restore a store from it (the resume half, which
+     recomputes every resident record, so this row tracks
+     statics_build). ns/op is per snapshotted destination. *)
   let ckpt_path = Filename.temp_file "sbgp_bench_ckpt" ".snap" in
   let ckpt_digest = Scrypto.Sha256.digest_string "bench-churn-checkpoint" in
   record "checkpoint_churn" ~ops:n (fun () ->
@@ -1193,10 +917,9 @@ let () =
   (match str_flag "--json" with
   | Some path -> if flag "--scale-smoke" then run_scale_smoke ~path else run_json_bench ~path
   | None ->
-      if not (flag "--bench-only") then run_experiments ();
-      if not (flag "--no-bench") then begin
-        report_engine_sweep ();
-        report_fault_tolerance ();
-        run_bechamel ()
-      end);
+      prerr_endline
+        "usage: main.exe --json PATH [--smoke] [--scale] [--scale-smoke] [--workers N] \
+         [--compare PATH]\n\
+         (the paper's tables and figures: sbgp_sim exp)";
+      exit 2);
   Printf.printf "\ntotal wall clock: %.1fs\n" (Unix.gettimeofday () -. t0)

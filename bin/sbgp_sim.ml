@@ -209,8 +209,8 @@ let run_cmd =
       & info [ "degrade" ]
           ~doc:
             "Degrade gracefully instead of crashing: repeated supervision \
-             failures and invalid statics records demote the affected \
-             destinations to the full (reference) kernels, and failed \
+             failures demote the affected destinations to the full \
+             (reference) kernels, and failed \
              checkpoint writes are skipped with a warning. Results stay \
              bit-identical; demotion and skip counts are reported. Equivalent \
              to \\$(b,SBGP_DEGRADE=1).")

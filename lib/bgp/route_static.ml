@@ -1215,6 +1215,8 @@ let get t d =
       insert t d info;
       info
 
+let peek t d = t.slots.(d)
+
 (* The streaming read path for whole-graph sweeps under a budget.
    Where {!get} evicts to make room — right for random-access reads
    with locality — a sweep touches every destination once per round,
@@ -1302,36 +1304,28 @@ let ensure_tiebreak t tiebreak =
     drop_all t
   end
 
+(* Compute the records of [dests] in parallel ([compute_with] is pure;
+   each worker reuses one builder) and hand each to [place], serially
+   in [dests] order. Shared by [ensure_all] and [of_snapshot]. *)
+let fill ~workers t dests place =
+  let n = Graph.n t.g and tiebreak = t.tiebreak in
+  let infos = Array.make (Array.length dests) None in
+  Parallel.Pool.parallel_for Parallel.Pool.no_supervision ~workers
+    ~tasks:(Array.length dests) ~grain:8
+    ~scratch:(fun () -> make_builder n)
+    (fun bd i -> infos.(i) <- Some (compute_with ~tiebreak bd t.g dests.(i)));
+  Array.iteri (fun i info -> Option.iter (place dests.(i)) info) infos
+
 let ensure_all ?(workers = 1) t =
   if not (bounded t) then begin
-    let n = Graph.n t.g in
     let missing = ref [] in
-    for d = n - 1 downto 0 do
+    for d = Graph.n t.g - 1 downto 0 do
       if t.slots.(d) = None then missing := d :: !missing
     done;
-    match !missing with
-    | [] -> ()
-    | missing ->
-        let miss = Array.of_list missing in
-        let tiebreak = t.tiebreak in
-        (* [compute_with] is pure, so filling the store fans out
-           safely; each worker reuses one builder's scratch across its
-           chunk, and the output slots are written one per task. *)
-        let infos = Array.make (Array.length miss) None in
-        Parallel.Pool.parallel_for Parallel.Pool.no_supervision ~workers
-          ~tasks:(Array.length miss) ~grain:8
-          ~scratch:(fun () -> make_builder n)
-          (fun bd i -> infos.(i) <- Some (compute_with ~tiebreak bd t.g miss.(i)));
-        Array.iteri
-          (fun i info ->
-            match info with
-            | None -> ()
-            | Some info ->
-                let d = miss.(i) in
-                let shard = shard_of t d in
-                shard.s_misses <- shard.s_misses + 1;
-                insert t d info)
-          infos
+    fill ~workers t (Array.of_list !missing) (fun d info ->
+        let shard = shard_of t d in
+        shard.s_misses <- shard.s_misses + 1;
+        insert t d info)
   end
 (* Under a budget, prefilling would only evict what it just built:
    leave the store to fill lazily, trading recompute for memory. *)
@@ -1498,71 +1492,67 @@ let undo_rebase t j =
 let rebase_stats j = j.j_stats
 let rebase_changed j = j.j_changed
 
-(* Checkpoint-boundary sweep of the degradation ladder: re-run the
-   structural checks over every resident record and drop (for lazy
-   recompute — the Full-kernel behavior for that destination) any
-   record that fails, returning the violations. Results after a drop
-   are bit-identical because [compute] is the reference the repaired
-   records are contracted to equal. *)
-let revalidate t =
-  let bad = ref [] in
-  for d = Array.length t.slots - 1 downto 0 do
-    match t.slots.(d) with
-    | None -> ()
-    | Some info -> (
-        match check_info t.g info with
-        | Ok () -> ()
-        | Error reason ->
-            t.slots.(d) <- None;
-            let shard = shard_of t d in
-            shard.used <- shard.used - info_bytes info;
-            bad := (d, reason) :: !bad)
-  done;
-  !bad
-
 (* ------------------------------------------------------------------ *)
-(* Store snapshots for churn-consistent checkpoints. The image holds
-   everything but the graph (graphs serialize separately through
-   {!Asgraph.Graph_io}): slot contents, reference bits, shard accounts
-   *including the hit/miss/eviction counters* — so a resumed run
-   reports the same statics statistics as an uninterrupted one — and
-   the tiebreak policy. [Marshal] round-trips the int32 bigarray CSRs
-   by value; slab-allocated records come back as plain copies, which
-   only costs memory compactness, not correctness. *)
+(* Store snapshots for churn-consistent checkpoints. A record is a
+   pure function of (graph, tiebreak), so the image holds only what
+   cannot be derived: the resident destinations, reference bits, the
+   per-shard budget, each shard's clock hand and hit/miss/eviction
+   counters (a resumed run reports the statistics an uninterrupted one
+   would) and the tiebreak. [of_snapshot] takes the stripes from
+   [skeleton], recomputes the resident records and re-derives the
+   byte accounts from them. The graph serializes separately. *)
+
+type shard_image = { im_hand : int; im_hits : int; im_misses : int; im_evictions : int }
 
 type store_image = {
   im_n : int;
   im_tiebreak : Policy.tiebreak;
-  im_slots : dest_info option array;
+  im_resident : int array;  (* ascending *)
   im_ref_bits : Bytes.t;
-  im_shards : shard array;
-  im_shard_idx : Bytes.t;
+  im_budget : int;  (* per shard; [max_int] = unbounded *)
+  im_shards : shard_image array;
 }
 
 let snapshot t =
+  let n = Graph.n t.g in
+  let shard s =
+    { im_hand = s.hand; im_hits = s.s_hits; im_misses = s.s_misses; im_evictions = s.s_evictions }
+  in
   Marshal.to_string
     {
-      im_n = Graph.n t.g;
+      im_n = n;
       im_tiebreak = t.tiebreak;
-      im_slots = t.slots;
+      im_resident =
+        Array.of_list (List.filter (fun d -> t.slots.(d) <> None) (List.init n Fun.id));
       im_ref_bits = t.ref_bits;
-      im_shards = t.shards;
-      im_shard_idx = t.shard_idx;
+      im_budget = t.shards.(0).budget;
+      im_shards = Array.map shard t.shards;
     }
     []
 
-let of_snapshot g s =
+let of_snapshot ?(workers = 1) g s =
   let im : store_image = Marshal.from_string s 0 in
   if im.im_n <> Graph.n g then
     invalid_arg "Route_static.of_snapshot: graph does not match the snapshot";
-  {
-    g;
-    slots = im.im_slots;
-    ref_bits = im.im_ref_bits;
-    shards = im.im_shards;
-    shard_idx = im.im_shard_idx;
-    tiebreak = im.im_tiebreak;
-  }
+  let slots, _, shards, shard_idx = skeleton ~budget:max_int im.im_n in
+  Array.iteri
+    (fun k sh ->
+      let c = im.im_shards.(k) in
+      sh.budget <- im.im_budget;
+      sh.hand <- c.im_hand;
+      sh.s_hits <- c.im_hits;
+      sh.s_misses <- c.im_misses;
+      sh.s_evictions <- c.im_evictions)
+    shards;
+  let t = { g; slots; ref_bits = im.im_ref_bits; shards; shard_idx; tiebreak = im.im_tiebreak } in
+  (* Direct slot stores, not [insert]: the rebuild reproduces the
+     image's residency, reference bits and counters, never evicting or
+     counting. *)
+  fill ~workers t im.im_resident (fun d info ->
+      t.slots.(d) <- Some info;
+      let shard = shard_of t d in
+      shard.used <- shard.used + info_bytes info);
+  t
 
 module Dirty = struct
   type statics = t

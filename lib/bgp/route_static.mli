@@ -190,6 +190,10 @@ val get : t -> int -> dest_info
 (** [get t d] returns the info for destination [d], computing it (and
     caching it, budget permitting) on miss. *)
 
+val peek : t -> int -> dest_info option
+(** The resident record of destination [d], if any — never computes,
+    and touches neither counters nor reference bits. *)
+
 val stream_get : t -> builder -> int -> dest_info
 (** The whole-graph-sweep read path. Hit: same as {!get}. Miss:
     recompute through the caller's builder; under a budget the record
@@ -286,31 +290,25 @@ val undo_rebase : t -> journal -> unit
 
 val rebase_stats : journal -> rebase_stats
 
-val revalidate : t -> (int * string) list
-(** Checkpoint-boundary rung of the degradation ladder: run
-    {!check_info} over every resident record, drop the ones that fail
-    (their destinations recompute lazily — the [Full]-kernel behavior)
-    and return [(dest, reason)] for each drop, ascending. Results stay
-    bit-identical because {!compute} is the reference. Empty on a
-    healthy store. Not thread-safe. *)
-
 (** {3 Snapshots for churn-consistent checkpoints} *)
 
 val snapshot : t -> string
-(** Serialize the store's full warm state — resident records,
-    reference bits, shard budgets/hands and the hit/miss/eviction
-    counters, and the tiebreak policy — as an opaque blob, so a churn
-    run resumed from a checkpoint reports byte-identical statics
-    statistics to an uninterrupted one. The graph is {e not} included;
-    pair the blob with however the caller persists/recomputes its
-    graph. *)
+(** Serialize the store state that cannot be derived from the graph:
+    the resident destinations, reference bits, per-shard budget, each
+    shard's clock hand and hit/miss/eviction counters, and the
+    tiebreak policy. No record is written — {!of_snapshot} recomputes
+    them — so the blob is O(n) bytes however warm the store. The graph
+    is {e not} included. *)
 
-val of_snapshot : Asgraph.Graph.t -> string -> t
+val of_snapshot : ?workers:int -> Asgraph.Graph.t -> string -> t
 (** Rebuild a store from {!snapshot} output onto [g], which must have
     the node count the snapshot was taken under (raises
-    [Invalid_argument] otherwise). The blob is a [Marshal] image:
-    callers must gate it behind an integrity check
-    ({!Core.Checkpoint} does) before handing it here. *)
+    [Invalid_argument] otherwise), recomputing exactly the resident
+    records over [workers] domains (default 1) as {!ensure_all} does.
+    The result has the snapshotted store's residency, reference bits
+    and {!stats}, and records {!info_equal} to its records. The blob
+    is a [Marshal] image: callers must gate it behind an integrity
+    check ({!Core.Checkpoint} does) before handing it here. *)
 
 val rebase_changed : journal -> int list
 (** Destinations (of the pre-churn graph, ascending) whose static info

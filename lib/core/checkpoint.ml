@@ -40,7 +40,7 @@ let () =
 (* On-disk layout, all integers big-endian:
 
      magic   "SBGPCKP1"                        8 bytes
-     version u16 (= 3)                         2 bytes
+     version u16 (= 4)                         2 bytes
      kind    u16 (0 = engine, 1 = churn)       2 bytes
      digest  config/topology SHA-256          32 bytes
      round   u32                               4 bytes
@@ -48,10 +48,13 @@ let () =
      payload                                   (length)
      footer  SHA-256 of everything above      32 bytes
 
-   Only version 3 loads. Version 2 shared this header but carried the
-   engine's older progress layout, and version 1 had no kind field;
-   [Marshal] encodes layout, not meaning, so both are rejected with
-   [Unsupported_version] rather than unmarshaled under today's types.
+   Only version 4 loads. Version 3 shared this header but its payloads
+   embedded whole statics records (version 4 stores only the store's
+   residency and counters), version 2 carried the engine's older
+   progress layout, and version 1 had no kind field; [Marshal] encodes
+   layout, not meaning, so all three are rejected with
+   [Unsupported_version] rather than unmarshaled under today's
+   types.
 
    The footer authenticates the frame against torn writes and bit
    rot; the digest ties the snapshot to the inputs that produced it.
@@ -99,7 +102,7 @@ let timed hist f =
   else f ()
 
 let magic = "SBGPCKP1"
-let version = 3
+let version = 4
 let digest_len = 32
 
 let digest_off = 8 + 2 + 2 (* magic, version, kind *)

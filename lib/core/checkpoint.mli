@@ -12,10 +12,12 @@
     written to [path ^ ".tmp"] and renamed into place, so a crash
     mid-write never clobbers the previous valid snapshot.
 
-    Frames are written and read at version 3 only. Older frames are
+    Frames are written and read at version 4 only. Older frames are
     rejected with {!Unsupported_version}: version 1 predates the
-    [kind] field, and version 2 carried the engine's older progress
-    layout, which cannot be unmarshaled under today's types.
+    [kind] field, version 2 carried the engine's older progress
+    layout, and version 3 payloads embedded whole statics records
+    where version 4 stores only the store's residency and counters.
+    None of them can be unmarshaled under today's types.
 
     The payload is a caller-owned [Marshal] blob. Unmarshaling
     untrusted bytes is unsafe, which is exactly why the checksum and

@@ -77,14 +77,14 @@ type t = {
           when set. *)
   degrade : bool;
       (** graceful-degradation ladder (default off): on repeated
-          supervision failure of the sweep, or on a CSR invariant
-          violation in a statics record, the engine demotes the
+          supervision failure of the sweep the engine demotes the
           delta flip/statics kernels to their full counterparts for
-          the affected destinations and continues — recording the
-          demotions in {!Engine.result} — instead of crashing. Off,
-          those conditions raise as before. Bit-identical results
-          either way (the full kernels are the reference), so it is
-          excluded from checkpoint digests. *)
+          the affected destinations, and on a failed checkpoint write
+          it keeps the previous snapshot, and continues — recording
+          demotions and skips in {!Engine.result} — instead of
+          crashing. Off, those conditions raise as before.
+          Bit-identical results either way (the full kernels are the
+          reference), so it is excluded from checkpoint digests. *)
 }
 
 val default : t

@@ -278,11 +278,12 @@ type snapshot_sink = { s_every : int; s_save : round:int -> payload:string -> un
 (* The full cross-round memory of a run, as checkpointed every K
    rounds: the deployment state (with its mark snapshot), the
    oscillation table in insertion order, the round records and stats
-   counters, and the incremental cache's entries. Restoring all of it
-   makes a resumed run replay the uninterrupted run bit-for-bit —
-   including the cache-hit counters. Serialized with [Marshal]
-   (exact for floats/bytes); {!Checkpoint} authenticates the frame
-   before any unmarshaling happens. *)
+   counters, the incremental cache's entries and the statics store's
+   image (no records: resume recomputes the resident ones). Restoring
+   all of it makes a resumed run replay the uninterrupted run
+   bit-for-bit — including the cache-hit and statics counters.
+   Serialized with [Marshal] (exact for floats/bytes); {!Checkpoint}
+   authenticates the frame before any unmarshaling happens. *)
 type progress = {
   p_round : int;
   p_state : string;
@@ -297,13 +298,14 @@ type progress = {
   p_initial_secure_as : int;
   p_initial_secure_isp : int;
   p_inc : string;
-  p_statics : string option;
+  p_statics : string;
       (** {!Route_static.snapshot} of the warm statics store at
-          checkpoint time — resuming restores the store (resident
-          records, eviction state {e and} hit/miss counters), so a
+          checkpoint time: residency, reference bits, clock hands,
+          budget and hit/miss/eviction counters, but no records —
+          resuming recomputes exactly the resident records, so a
           resumed run reports statistics byte-identical to an
           uninterrupted one. *)
-  p_statics_base : (int * int * int) option;
+  p_statics_base : int * int * int;
       (** (hits, misses, evictions) of the store when the original run
           started — the baseline the run's reported statics deltas are
           taken against, which the restored store's counters alone
@@ -349,21 +351,22 @@ let input_digest (cfg : Config.t) statics ~weight ~state =
 let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
     statics ~weight ~state =
   let g = Route_static.graph statics in
-  (* Churn-consistent resume: snapshots carry the warm statics store;
-     rebind [statics] to the restored store so the resumed run serves
-     exactly the residency — and reports exactly the hit/miss
-     counters — the interrupted run would have. *)
-  let statics, statics_restored, resumed_base =
-    match resume_from with
-    | Some p -> (
-        match p.p_statics with
-        | Some s -> (Route_static.of_snapshot g s, true, p.p_statics_base)
-        | None -> (statics, false, p.p_statics_base))
-    | None -> (statics, false, None)
-  in
   let n = Graph.n g in
-  let tiebreak = cfg.tiebreak in
   let workers = max 1 (min cfg.workers n) in
+  (* Churn-consistent resume: the progress payload carries the statics
+     store's image; rebind [statics] to the store rebuilt from it, so
+     the resumed run serves exactly the residency — and reports
+     exactly the hit/miss counters — the interrupted run would have. *)
+  let statics, resumed_base =
+    match resume_from with
+    | Some p ->
+        ( timed m_statics_build_ms (fun () ->
+              Nsobs.Trace.span ~cat:"engine" "statics.prefill" (fun () ->
+                  Route_static.of_snapshot ~workers g p.p_statics)),
+          Some p.p_statics_base )
+    | None -> (statics, None)
+  in
+  let tiebreak = cfg.tiebreak in
   (* Supervision for the engine's fan-outs: worker failures retry per
      chunk ([Config.retries], capped-exponential backoff with jitter)
      and degrade to serial re-execution; [Config.task_timeout_ms] arms
@@ -398,7 +401,7 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
      restored store already went through both at the original run's
      start (the digest pins the tiebreak), and re-running the prefill
      would skew the restored hit counters. *)
-  if not statics_restored then
+  if Option.is_none resume_from then
     timed m_statics_build_ms (fun () ->
         Nsobs.Trace.span ~cat:"engine" "statics.prefill" (fun () ->
             Route_static.ensure_tiebreak statics cfg.tiebreak;
@@ -552,15 +555,6 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
       match sink with Some { s_every; _ } -> due s_every | None -> false
     in
     if checkpoint_due || sink_due then begin
-      (* Checkpoint-boundary rung of the degradation ladder: validate
-         every resident statics record before snapshotting it, so a
-         corrupt record can neither persist into the snapshot nor keep
-         serving the run — its destination recomputes lazily (the full
-         statics kernel for that destination). *)
-      if cfg.degrade then
-        List.iter
-          (fun (d, reason) -> demote d ("invalid statics record: " ^ reason))
-          (Route_static.revalidate statics);
       let p =
         {
           p_round = !round;
@@ -573,8 +567,8 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
           p_initial_secure_as = initial_secure_as;
           p_initial_secure_isp = initial_secure_isp;
           p_inc = Incremental.snapshot inc;
-          p_statics = Some (Route_static.snapshot statics);
-          p_statics_base = Some (base_hits, base_misses, base_evictions);
+          p_statics = Route_static.snapshot statics;
+          p_statics_base = (base_hits, base_misses, base_evictions);
         }
       in
       let payload = Marshal.to_string p [] in

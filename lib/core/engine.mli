@@ -52,10 +52,9 @@ type result = {
   statics_evictions : int;  (** statics entries evicted to stay in budget *)
   demotions : int;
       (** destinations the degradation ladder pinned to the full
-          flip/statics kernels during this process's run — after
-          repeated supervision failure of their sweep slice, or after
-          their statics record failed the checkpoint-boundary
-          {!Bgp.Route_static.check_info} validation. Always [0] when
+          flip/statics kernels during this process's run, after
+          repeated supervision failure of their sweep slice. Always
+          [0] when
           [Config.degrade] is off (those conditions raise instead).
           Diagnostics like the statics counters: demotions change
           robustness, never results (the full kernels are the
@@ -124,7 +123,8 @@ val run :
 
     [checkpoint] snapshots the engine's complete cross-round memory
     (state, oscillation table, round records, counters, incremental
-    cache, {e and} the warm statics store with its hit/miss counters)
+    cache, {e and} the statics store's image: residency, eviction
+    state and hit/miss counters, but no records)
     to [path] every [every] completed rounds, whenever another round
     is still coming — see {!Checkpoint} for the file format. [sink]
     receives the same serialized progress on its own cadence, for
@@ -132,8 +132,8 @@ val run :
 
     With [Config.task_timeout_ms > 0] the sweeps also run under the
     {!Parallel.Pool} hang watchdog; with [Config.degrade] the
-    degradation ladder turns repeated supervision failures, invalid
-    statics records and checkpoint I/O errors into per-destination
+    degradation ladder turns repeated supervision failures and
+    checkpoint I/O errors into per-destination
     kernel demotions / skipped snapshots (counted in the result)
     instead of exceptions.
 
@@ -161,10 +161,11 @@ val resume :
     or a silently wrong resume.
 
     Because the snapshot restores the full cross-round memory —
-    including the warm statics store — the result is structurally
+    including the statics store, whose resident records are
+    recomputed over [Config.workers] domains — the result is structurally
     identical — float-for-float, including the cache {e and} statics
     counters — to the uninterrupted run, for any worker count.
-    Frames older than version 3 are rejected with {!Checkpoint.Error}
+    Frames older than version 4 are rejected with {!Checkpoint.Error}
     [(Unsupported_version _)]. A [Checkpoint.Churn]-kind snapshot is rejected with
     {!Checkpoint.Error} [(Unsupported_kind _)] — resume those with
     the evolution runner. Pass [checkpoint] to keep snapshotting the

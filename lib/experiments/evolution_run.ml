@@ -1,12 +1,12 @@
 (* Checkpointable churn runner: the Section 8.4 evolution epochs
    (engine run -> graph growth -> statics rebase -> next epoch) under
    one resumable umbrella. Progress persists as [Checkpoint.Churn]
-   frames holding the epoch cursor, the current graph, the warm
-   statics store and the completed-epoch summaries — plus, between
+   frames holding the epoch cursor, the current graph, the statics
+   store's image and the completed-epoch summaries — plus, between
    snapshot rounds, the running epoch's full engine progress — so a
    run killed between or inside an epoch resumes float-identical to
    the uninterrupted run (including the statics hit/miss counters,
-   which travel inside the store snapshot). *)
+   which travel inside the store image). *)
 
 module Graph = Asgraph.Graph
 module Graph_io = Asgraph.Graph_io
@@ -57,9 +57,11 @@ type outcome = {
 
 type checkpoint_spec = { path : string; every_rounds : int }
 
-(* The churn-frame payload. [c_statics] is empty when [c_engine]
-   carries a mid-epoch engine payload — the engine progress embeds its
-   own store snapshot, and duplicating it would double the frame. *)
+(* The churn-frame payload. [c_statics] is the post-rebase store's
+   image (residency, eviction state and counters, no records — resume
+   recomputes the resident records against [c_graph]). It is empty
+   when [c_engine] carries a mid-epoch engine payload, which embeds
+   the image of the store that epoch's engine run is using. *)
 type progress = {
   c_epoch : int;
   c_graph : string;  (* [Graph_io] text of the epoch's graph *)
@@ -285,10 +287,10 @@ let resume ~from ?checkpoint ?faults params (cfg : Config.t) g0 ~early =
   let statics, engine_payload =
     match c.c_engine with
     | Some (_, payload) ->
-        (* The engine payload embeds the warm store; the placeholder
+        (* The engine payload embeds the store image; the placeholder
            is never consulted ([Engine.resume_of_payload] rebinds). *)
         (Route_static.create g, Some payload)
-    | None -> (Route_static.of_snapshot g c.c_statics, None)
+    | None -> (Route_static.of_snapshot ~workers:cfg.workers g c.c_statics, None)
   in
   run_epochs ~params ~cfg ~faults ~checkpoint ~digest ~early ~start:c.c_epoch ~g
     ~statics ~full_isps:c.c_full_isps ~summaries_rev:c.c_summaries_rev

@@ -9,11 +9,12 @@
     progress persists as {!Core.Checkpoint.Churn} frames:
 
     - at every epoch boundary — the epoch cursor, the grown graph, the
-      post-rebase warm statics store (via {!Bgp.Route_static.snapshot},
-      hit/miss counters included) and every completed epoch summary;
+      post-rebase statics store's image (via
+      {!Bgp.Route_static.snapshot}: residency and hit/miss counters,
+      no records) and every completed epoch summary;
     - every [every_rounds] engine rounds inside an epoch — the same
       context plus the engine's full serialized progress (which embeds
-      its own store snapshot), through {!Core.Engine.snapshot_sink}.
+      its own store image), through {!Core.Engine.snapshot_sink}.
 
     A run killed between or inside an epoch therefore resumes
     float-identical to the uninterrupted run — states, oscillation

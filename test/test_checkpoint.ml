@@ -205,8 +205,8 @@ let test_churn_kind_roundtrip () =
 
 (* Frames of the retired versions, byte for byte as older code wrote
    them: version 1 has no kind field between version and digest,
-   version 2 has version 3's header. Both are well-formed, so only the
-   version check can reject them. *)
+   versions 2 and 3 have version 4's header. All are well-formed, so
+   only the version check can reject them. *)
 let old_frame ~version ~digest ~round payload =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "SBGPCKP1";
@@ -221,11 +221,11 @@ let old_frame ~version ~digest ~round payload =
 
 let test_old_frames_rejected () =
   with_temp (fun path ->
-      (* The same builder at version 3 writes a frame that loads. *)
-      write_file path (old_frame ~version:3 ~digest:digest_a ~round:9 "payload");
+      (* The same builder at version 4 writes a frame that loads. *)
+      write_file path (old_frame ~version:4 ~digest:digest_a ~round:9 "payload");
       (match Checkpoint.load ~path ~digest:digest_a with
       | Ok { Checkpoint.round = 9; kind = Checkpoint.Engine; payload = "payload" } -> ()
-      | Ok _ -> Alcotest.fail "v3 frame decoded wrongly"
+      | Ok _ -> Alcotest.fail "v4 frame decoded wrongly"
       | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
       List.iter
         (fun version ->
@@ -234,7 +234,7 @@ let test_old_frames_rejected () =
             (Printf.sprintf "v%d frame" version)
             (function Checkpoint.Unsupported_version v -> v = version | _ -> false)
             (Checkpoint.load ~path ~digest:digest_a))
-        [ 1; 2 ])
+        [ 1; 2; 3 ])
 
 let test_unknown_kind_rejected () =
   with_temp (fun path ->

@@ -316,6 +316,107 @@ let test_bounded_rebase_no_stale () =
     (st2.Route_static.cached_bytes <= st2.Route_static.budget_bytes)
 
 (* ------------------------------------------------------------------ *)
+(* Store snapshots: residency and counters round-trip, records rebuild *)
+
+let snapshot_graph n =
+  (Topology.Gen.generate { (Topology.Params.with_n Topology.Params.default n) with seed = 21 })
+    .graph
+
+(* [b] must be indistinguishable from [a]: same stats, same resident
+   set with [info_equal] records, same image (reference bits, hands,
+   counters, budget), and the same hit/miss/eviction sequence over a
+   fixed [get] script that runs on both. *)
+let check_same_store ~label a b =
+  let lbl s = Printf.sprintf "%s: %s" label s in
+  let n = Graph.n (Route_static.graph a) in
+  check Alcotest.bool (lbl "stats") true (Route_static.stats a = Route_static.stats b);
+  for d = 0 to n - 1 do
+    match (Route_static.peek a d, Route_static.peek b d) with
+    | None, None -> ()
+    | Some x, Some y ->
+        if not (Route_static.info_equal x y) then
+          Alcotest.failf "%s: record of destination %d differs" label d
+    | _ -> Alcotest.failf "%s: residency of destination %d differs" label d
+  done;
+  check Alcotest.bool (lbl "image") true (Route_static.snapshot a = Route_static.snapshot b);
+  for k = 0 to (3 * n) - 1 do
+    let d = ((k * 37) + (k * k)) mod n in
+    let x = Route_static.get a d and y = Route_static.get b d in
+    if not (Route_static.info_equal x y) then
+      Alcotest.failf "%s: get %d (step %d) served different records" label d k;
+    if Route_static.stats a <> Route_static.stats b then
+      Alcotest.failf "%s: counters diverge at get step %d" label k
+  done
+
+(* [make ()] builds the store under test deterministically, so each
+   worker count gets a fresh original to compare against. *)
+let round_trip ~label make =
+  List.iter
+    (fun workers ->
+      let t = make () in
+      let restored =
+        Route_static.of_snapshot ~workers (Route_static.graph t) (Route_static.snapshot t)
+      in
+      check_same_store ~label:(Printf.sprintf "%s, workers %d" label workers) t restored)
+    [ 1; 2 ]
+
+let test_snapshot_unbounded () =
+  let g = snapshot_graph 120 in
+  round_trip ~label:"unbounded" (fun () ->
+      let t = Route_static.create ~budget_bytes:0 g in
+      Route_static.ensure_all ~workers:1 t;
+      for d = 0 to 40 do
+        ignore (Route_static.get t d)
+      done;
+      t)
+
+let test_snapshot_bounded () =
+  let g = snapshot_graph 120 in
+  let per = Route_static.info_bytes (Route_static.compute g 0) in
+  round_trip ~label:"bounded" (fun () ->
+      let t = Route_static.create ~budget_bytes:(25 * per) g in
+      for k = 0 to 299 do
+        ignore (Route_static.get t ((k * 13) mod 120))
+      done;
+      check Alcotest.bool "bounded store evicted" true
+        ((Route_static.stats t).Route_static.evictions > 0);
+      (* Hits on every other resident record set reference bits, so
+         the image carries a mix of set and clear bits. *)
+      for d = 0 to 119 do
+        if d mod 2 = 0 && Option.is_some (Route_static.peek t d) then
+          ignore (Route_static.get t d)
+      done;
+      t)
+
+let test_snapshot_after_rebase () =
+  let g = snapshot_graph 120 in
+  let grown, delta =
+    Topology.Evolve.grow_delta g ~new_stubs:20 ~secure_bias:1.0
+      ~is_secure:(fun i -> i mod 3 = 0)
+      ~seed:4
+  in
+  round_trip ~label:"after Delta rebase" (fun () ->
+      let t = Route_static.create ~budget_bytes:0 g in
+      Route_static.ensure_all ~workers:1 t;
+      let j = Route_static.rebase ~kernel:Route_static.Delta ~workers:2 t ~delta grown in
+      check Alcotest.bool "rebase patched records (slab-allocated)" true
+        ((Route_static.rebase_stats j).Route_static.patched > 0);
+      for d = 0 to 19 do
+        ignore (Route_static.get t d)
+      done;
+      t)
+
+let test_snapshot_size () =
+  let n = 120 in
+  let t = Route_static.create ~budget_bytes:0 (snapshot_graph n) in
+  Route_static.ensure_all ~workers:1 t;
+  check Alcotest.int "fully resident" n (Route_static.stats t).Route_static.cached;
+  let bytes = String.length (Route_static.snapshot t) in
+  if bytes > (16 * n) + 4096 then
+    Alcotest.failf "snapshot of a fully resident N=%d store is %d bytes (> %d)" n bytes
+      ((16 * n) + 4096)
+
+(* ------------------------------------------------------------------ *)
 (* Incremental cache: note_churn marks exactly the changed set *)
 
 let test_note_churn_protocol () =
@@ -392,6 +493,13 @@ let () =
         [
           Alcotest.test_case "bounded rebase serves no stale entry" `Quick
             test_bounded_rebase_no_stale;
+          Alcotest.test_case "snapshot round trip: unbounded" `Quick
+            test_snapshot_unbounded;
+          Alcotest.test_case "snapshot round trip: bounded, evicted" `Quick
+            test_snapshot_bounded;
+          Alcotest.test_case "snapshot round trip: after Delta rebase" `Quick
+            test_snapshot_after_rebase;
+          Alcotest.test_case "snapshot size stays O(n)" `Quick test_snapshot_size;
         ] );
       ( "incremental",
         [
