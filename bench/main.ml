@@ -101,16 +101,20 @@ let validate_trace path =
     (fun required ->
       if not (List.exists (fun ev -> name_of ev = Some required) events) then
         die "trace %s is missing span %S" path required)
-    [
-      "engine.run"; "engine.round"; "engine.probe"; "engine.sweep"; "engine.reduce";
-      "engine.decide"; "statics.prefill";
-    ];
+    (List.map
+       (fun (p : Nsobs.Phase.t) -> p.span)
+       Nsobs.Phase.
+         [
+           engine_run; engine_round; begin_round; probe; sweep; reduce; decide;
+           statics_prefill;
+         ]);
   (* The pool and statics kernels trace outside any engine.run; within
      the engine runs, the phase spans must account for (almost) all of
      the wall clock — untraced gaps mean a hot section lost its span. *)
-  let run_us = total "engine.run" in
+  let total (p : Nsobs.Phase.t) = total p.span in
+  let run_us = total Nsobs.Phase.engine_run in
   let phases_us =
-    total "engine.round" +. total "statics.prefill" +. total "engine.baseline"
+    Nsobs.Phase.(total engine_round +. total statics_prefill +. total baseline)
   in
   let coverage = if run_us > 0.0 then phases_us /. run_us else 0.0 in
   if run_us > 0.0 && coverage < 0.90 then

@@ -208,12 +208,11 @@ let run_cmd =
       value & flag
       & info [ "degrade" ]
           ~doc:
-            "Degrade gracefully instead of crashing: repeated supervision \
-             failures demote the affected destinations to the full \
-             (reference) kernels, and failed \
-             checkpoint writes are skipped with a warning. Results stay \
-             bit-identical; demotion and skip counts are reported. Equivalent \
-             to \\$(b,SBGP_DEGRADE=1).")
+            "Skip a checkpoint write that fails with an I/O error, with a \
+             warning, instead of stopping the run; the previous snapshot \
+             survives. Results stay bit-identical, and the skip count is \
+             reported. Sweep supervision failures still stop the run. \
+             Equivalent to \\$(b,SBGP_DEGRADE=1).")
   in
   let flip_kernel =
     let kernel_conv =
@@ -441,11 +440,9 @@ let run_cmd =
     Printf.printf "sweep: %d workers; %d destination recomputes, %d cache hits (%.1f%%)\n"
       cfg.workers result.dest_recomputed result.dest_reused
       (100.0 *. Core.Engine.cache_hit_rate result);
-    if result.demotions > 0 || result.checkpoint_skips > 0 then
-      Printf.printf
-        "degraded: %d destination(s) demoted to the full kernels, %d checkpoint \
-         write(s) skipped (results unaffected)\n"
-        result.demotions result.checkpoint_skips;
+    if result.checkpoint_skips > 0 then
+      Printf.printf "degraded: %d checkpoint write(s) skipped (results unaffected)\n"
+        result.checkpoint_skips;
     (* On a snapshot-restored resume the engine swaps in the store
        rebuilt from the checkpoint; report the store the run actually
        used, not the handle created above. *)

@@ -946,8 +946,8 @@ let repair g' ~delta info =
 
 (* ------------------------------------------------------------------ *)
 (* CSR invariant self-checks: cheap structural validation of one
-   record — the probe of the engine's graceful-degradation ladder and
-   of the post-repair boundary in [rebase]. A record that passes is
+   record — the invariant probe at the post-repair boundary in
+   [rebase]. A record that passes is
    structurally sound: offsets monotone and bounded, the order a
    duplicate-free ascending-length permutation of exactly the
    reachable nodes, every row member in range, and the reverse

@@ -145,7 +145,7 @@ val repair_surgical :
 
 val check_info : Asgraph.Graph.t -> dest_info -> (unit, string) result
 (** Cheap structural self-check of one record against its graph — the
-    degradation ladder's invariant probe. Verifies, in O(record size):
+    invariant probe {!rebase} runs on every patched record. Verifies, in O(record size):
     CSR offset monotonicity and bounds for both tie CSRs, that [order]
     is a duplicate-free ascending-length permutation of exactly the
     reachable nodes starting at [dest], that [max_len] matches the

@@ -62,44 +62,17 @@ let () =
    handed back — unmarshaling untrusted bytes is never safe, so the
    checksum is the gate. *)
 
-(* Observability: spans and duration/size metrics around the disk
-   round-trips. Purely observational — framing and validation are
-   untouched. *)
-let m_writes =
-  lazy (Nsobs.Metrics.counter ~help:"checkpoint frames written" "checkpoint_write_total")
-let m_loads =
-  lazy
-    (Nsobs.Metrics.counter ~help:"checkpoint frames loaded successfully"
-       "checkpoint_load_total")
-let m_load_errors =
-  lazy
-    (Nsobs.Metrics.counter ~help:"checkpoint loads rejected (I/O or validation)"
-       "checkpoint_load_error_total")
-let m_bytes_written =
-  lazy
-    (Nsobs.Metrics.counter ~help:"checkpoint bytes written (framed)"
-       "checkpoint_bytes_written_total")
-let duration_buckets = [| 0.1; 0.5; 1.; 5.; 10.; 50.; 100.; 500.; 1000. |]
-let m_write_ms =
-  lazy
-    (Nsobs.Metrics.histogram ~help:"checkpoint write duration (ms)"
-       ~buckets:duration_buckets "checkpoint_write_ms")
-let m_load_ms =
-  lazy
-    (Nsobs.Metrics.histogram ~help:"checkpoint load duration (ms)"
-       ~buckets:duration_buckets "checkpoint_load_ms")
+(* Observability: the write and load phases ({!Nsobs.Phase}) carry the
+   spans and duration histograms; these count frames and bytes. Purely
+   observational — framing and validation are untouched. *)
+let counter help name = lazy (Nsobs.Metrics.counter ~help name)
+let m_writes = counter "checkpoint frames written" "checkpoint_write_total"
+let m_loads = counter "checkpoint frames loaded successfully" "checkpoint_load_total"
 
-let timed hist f =
-  if Nsobs.Metrics.enabled () then begin
-    let t0 = Nsobs.Trace.now_us () in
-    let finish () =
-      Nsobs.Metrics.observe (Lazy.force hist) ((Nsobs.Trace.now_us () -. t0) /. 1000.0)
-    in
-    match f () with
-    | v -> finish (); v
-    | exception e -> finish (); raise e
-  end
-  else f ()
+let m_load_errors =
+  counter "checkpoint loads rejected (I/O or validation)" "checkpoint_load_error_total"
+
+let m_bytes_written = counter "checkpoint bytes written (framed)" "checkpoint_bytes_written_total"
 
 let magic = "SBGPCKP1"
 let version = 4
@@ -124,8 +97,7 @@ let frame_bytes ~kind ~digest ~round ~payload =
   body ^ Sha256.digest_string body
 
 let write ?faults ?(kind = Engine) ~path ~digest ~round payload =
-  Nsobs.Trace.span ~cat:"checkpoint" "checkpoint.write" @@ fun () ->
-  timed m_write_ms @@ fun () ->
+  Nsobs.Phase.run Nsobs.Phase.checkpoint_write @@ fun () ->
   (* Fault injection, site [checkpoint.io]: the write call itself
      fails — the typed error a caller's degradation path must absorb
      without losing the previous valid snapshot (which the tmp+rename
@@ -225,8 +197,7 @@ let load_frame ~path ~digest =
       end
 
 let load ~path ~digest =
-  Nsobs.Trace.span ~cat:"checkpoint" "checkpoint.load" @@ fun () ->
-  timed m_load_ms @@ fun () ->
+  Nsobs.Phase.run Nsobs.Phase.checkpoint_load @@ fun () ->
   let r = load_frame ~path ~digest in
   if Nsobs.Metrics.enabled () then
     (match r with

@@ -76,15 +76,13 @@ type t = {
           digests. Defaults to [SBGP_TASK_TIMEOUT_MS] (milliseconds)
           when set. *)
   degrade : bool;
-      (** graceful-degradation ladder (default off): on repeated
-          supervision failure of the sweep the engine demotes the
-          delta flip/statics kernels to their full counterparts for
-          the affected destinations, and on a failed checkpoint write
-          it keeps the previous snapshot, and continues — recording
-          demotions and skips in {!Engine.result} — instead of
-          crashing. Off, those conditions raise as before.
-          Bit-identical results either way (the full kernels are the
-          reference), so it is excluded from checkpoint digests. *)
+      (** skip failed checkpoint writes (default off): a checkpoint
+          write that fails with an I/O error is skipped — the
+          previous snapshot survives — and counted in
+          {!Engine.result} [checkpoint_skips] instead of raised; the
+          churn runner skips its frames the same way. Sweep
+          supervision failures propagate either way. Never changes
+          results, so it is excluded from checkpoint digests. *)
 }
 
 val default : t

@@ -3,101 +3,49 @@ module Csr = Nsutil.Csr
 module Route_static = Bgp.Route_static
 module Forest = Bgp.Forest
 module Pool = Parallel.Pool
+module Phase = Nsobs.Phase
 
 (* Observability hooks. Every hook sits behind Nsobs's static
-   [enabled] checks and only observes — spans time existing sections,
-   counters publish at round or end-of-run granularity — so an
-   instrumented run is bit-identical to an uninstrumented one
-   (test_obs proves it). *)
-let m_rounds =
-  lazy (Nsobs.Metrics.counter ~help:"deployment-game rounds executed" "engine_rounds_total")
-let m_flips_on =
-  lazy
-    (Nsobs.Metrics.counter ~help:"candidates that turned secure routing on"
-       "engine_flips_on_total")
-let m_flips_off =
-  lazy
-    (Nsobs.Metrics.counter ~help:"candidates that turned secure routing off"
-       "engine_flips_off_total")
+   [enabled] checks and only observes — phase spans and histograms
+   ({!Nsobs.Phase}) time existing sections, counters publish at round
+   or end-of-run granularity — so an instrumented run is bit-identical
+   to an uninstrumented one (test_obs proves it). *)
+let counter help name = lazy (Nsobs.Metrics.counter ~help name)
+let gauge help name = lazy (Nsobs.Metrics.gauge ~help name)
+let m_rounds = counter "deployment-game rounds executed" "engine_rounds_total"
+let m_flips_on = counter "candidates that turned secure routing on" "engine_flips_on_total"
+let m_flips_off = counter "candidates that turned secure routing off" "engine_flips_off_total"
+
 let m_flips_hist =
   lazy
     (Nsobs.Metrics.histogram ~help:"simultaneous flips per round"
        ~buckets:[| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. |]
        "engine_flips_per_round")
+
 let m_dirty_hist =
   lazy
     (Nsobs.Metrics.histogram
        ~help:"incremental dirty-set size per round (destinations recomputed)"
        ~buckets:[| 0.; 10.; 100.; 1000.; 10000.; 100000. |]
        "engine_dirty_set_size")
-let m_round_ms =
-  lazy
-    (Nsobs.Metrics.histogram ~help:"wall time per round (ms)"
-       ~buckets:[| 1.; 5.; 10.; 50.; 100.; 500.; 1000.; 5000. |]
-       "engine_round_ms")
-let m_statics_hits =
-  lazy (Nsobs.Metrics.counter ~help:"route-statics store hits" "statics_hit_total")
-let m_statics_misses =
-  lazy
-    (Nsobs.Metrics.counter ~help:"route-statics store misses (rows built)"
-       "statics_miss_total")
+
+let m_statics_hits = counter "route-statics store hits" "statics_hit_total"
+let m_statics_misses = counter "route-statics store misses (rows built)" "statics_miss_total"
+
 let m_statics_evictions =
-  lazy
-    (Nsobs.Metrics.counter ~help:"route-statics rows evicted by the byte budget"
-       "statics_eviction_total")
-let m_statics_bytes =
-  lazy
-    (Nsobs.Metrics.gauge ~help:"route-statics bytes cached at end of run"
-       "statics_cached_bytes")
-let m_dest_recomputed =
-  lazy
-    (Nsobs.Metrics.counter ~help:"destination forests recomputed"
-       "engine_dest_recomputed_total")
+  counter "route-statics rows evicted by the byte budget" "statics_eviction_total"
+
+let m_statics_bytes = gauge "route-statics bytes cached at end of run" "statics_cached_bytes"
+let m_dest_recomputed = counter "destination forests recomputed" "engine_dest_recomputed_total"
+
 let m_dest_reused =
-  lazy
-    (Nsobs.Metrics.counter ~help:"destination forests served from the incremental cache"
-       "engine_dest_reused_total")
-let m_demotions =
-  lazy
-    (Nsobs.Metrics.counter
-       ~help:"destinations demoted delta->full by the degradation ladder"
-       "engine_demotions_total")
+  counter "destination forests served from the incremental cache" "engine_dest_reused_total"
+
 let m_checkpoint_skips =
-  lazy
-    (Nsobs.Metrics.counter
-       ~help:"checkpoint writes skipped on I/O failure under the degradation ladder"
-       "engine_checkpoint_skips_total")
+  counter "checkpoint writes skipped on I/O failure under the degradation ladder"
+    "engine_checkpoint_skips_total"
 
-(* Per-phase wall-time histograms (tentpole c): observed around the
-   existing trace spans, same sites, same guard discipline. Bucket
-   grid shared across phases so dashboards can overlay them. *)
-let phase_buckets = [| 0.1; 0.5; 1.; 5.; 10.; 50.; 100.; 500.; 1000.; 5000. |]
-
-let m_probe_ms =
-  lazy
-    (Nsobs.Metrics.histogram ~help:"flip byte-delta capture per round (ms)"
-       ~buckets:phase_buckets "engine_probe_ms")
-let m_sweep_ms =
-  lazy
-    (Nsobs.Metrics.histogram
-       ~help:"parallel sweep (dirty recompute + flip repair) per round (ms)"
-       ~buckets:phase_buckets "engine_sweep_ms")
-let m_reduce_ms =
-  lazy
-    (Nsobs.Metrics.histogram ~help:"serial deterministic reduction per round (ms)"
-       ~buckets:phase_buckets "engine_reduce_ms")
-let m_statics_build_ms =
-  lazy
-    (Nsobs.Metrics.histogram ~help:"statics store prefill (ms)"
-       ~buckets:phase_buckets "statics_build_ms")
-let m_current_round =
-  lazy
-    (Nsobs.Metrics.gauge ~help:"round currently executing" "engine_current_round")
-
-(* Time a section into [h] when metrics are on; otherwise exactly the
-   thunk (no clock reads, no lazy forcing). *)
-let timed h f =
-  if Nsobs.Metrics.enabled () then Nsobs.Metrics.timed (Lazy.force h) f else f ()
+let m_current_round = gauge "round currently executing" "engine_current_round"
 
 type round_record = {
   round : int;
@@ -124,7 +72,6 @@ type result = {
   statics_hits : int;
   statics_misses : int;
   statics_evictions : int;
-  demotions : int;
   checkpoint_skips : int;
   statics_store : Route_static.t;
 }
@@ -348,25 +295,129 @@ let input_digest (cfg : Config.t) statics ~weight ~state =
   feed (State.serialize state);
   Scrypto.Sha256.finalize ctx
 
-let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
-    statics ~weight ~state =
+(* One engine run: its inputs, the tables derived from them once, and
+   the cross-round memory a checkpoint carries ({!progress}). Each
+   phase of the round is a function over this record; [run_internal]
+   is only the loop that calls them. *)
+type run_ctx = {
+  cfg : Config.t;
+  g : Graph.t;
+  n : int;
+  workers : int;
+  statics : Route_static.t;
+  weight : float array;
+  state : State.t;
+  faults : Nsutil.Faults.t option;
+  checkpoint : checkpoint_spec option;
+  sink : snapshot_sink option;
+  digest : string;
+  sv : Pool.supervision;
+  grain : int;  (* destination-chunk size of every fan-out *)
+  stubs : Csr.t;  (* stub customers per ISP, for the projection filters *)
+  theta_factor : float array;  (* per-ISP threshold jitter (Section 8.2) *)
+  inc : Incremental.t;
+  seen : (int, (int * State.fingerprint) list) Hashtbl.t;
+  mutable seen_order : (int * State.fingerprint) list;
+  mutable baseline : float array;
+  mutable initial_secure_as : int;
+  mutable initial_secure_isp : int;
+  mutable round : int;
+  mutable rounds : round_record list;  (* newest first *)
+  mutable recomputed : int;
+  mutable reused : int;
+  mutable checkpoint_skips : int;
+  stats0 : Route_static.stats;  (* store counters when this process started *)
+  stats_base : int * int * int;
+      (* (hits, misses, evictions) the result's statics deltas are
+         taken against: on a resume, the original run's start *)
+}
+
+(* What one round's phases hand each other: the round-start
+   participation copies the workers flip, the candidates with their
+   byte deltas, and the sweep's per-destination probe rows. *)
+type round_ctx = {
+  t0 : float;  (* journal clock at round start; 0 when the journal is off *)
+  sec0 : Bytes.t;
+  secp0 : Bytes.t;
+  candidates : int array;  (* ascending node id *)
+  was_on : bool array;
+  deltas : flip_delta array;
+  seeds : int array array;  (* repair frontier seeds per candidate *)
+  rows : (int array * float array) option array;
+}
+
+(* Oscillation detection: hash-bucketed fingerprints (deployment sets
+   only, n/4 bytes each — not full state copies) of every visited
+   state, with exact comparison on hash hits. The insertion-order list
+   serializes the table for checkpoints; replaying insertions rebuilds
+   identical buckets. *)
+let insert_seen r round fp =
+  let signature = State.fp_signature fp in
+  let bucket = Option.value ~default:[] (Hashtbl.find_opt r.seen signature) in
+  Hashtbl.replace r.seen signature ((round, fp) :: bucket);
+  r.seen_order <- (round, fp) :: r.seen_order
+
+let remember r =
+  let signature = State.signature r.state in
+  let bucket = Option.value ~default:[] (Hashtbl.find_opt r.seen signature) in
+  match List.find_opt (fun (_, old) -> State.fp_matches old r.state) bucket with
+  | Some (first_round, _) -> Some first_round
+  | None ->
+      insert_seen r r.round (State.fingerprint r.state);
+      None
+
+(* Baseline: utilities before deployment began (empty state). The
+   parallel phase computes per-destination addend streams; the serial
+   replay in destination order performs the same float additions as a
+   sequential sweep, for any worker count. Processed in destination
+   blocks so the transient boxed streams of at most one block are live
+   at a time — at paper scale the full per-destination set would dwarf
+   the statics store. *)
+let baseline r =
+  Phase.run Phase.baseline @@ fun () ->
+  let { n; statics; g; weight; cfg; _ } = r in
+  let tiebreak = cfg.tiebreak in
+  let zeros = Bytes.make n '\000' in
+  let into = Array.make n 0.0 in
+  let block = max 1 (min n 4096) in
+  let pairs = Array.make block ([||], [||]) in
+  let lo = ref 0 in
+  while !lo < n do
+    let len = min block (n - !lo) in
+    let base = !lo in
+    Pool.parallel_for r.sv ~workers:r.workers ~tasks:len ~grain:r.grain
+      ~scratch:(fun () -> (Forest.make_scratch n, Route_static.make_builder n))
+      (fun (scratch, bd) i ->
+        let d = base + i in
+        let info = Route_static.stream_get statics bd d in
+        Forest.compute info ~tiebreak ~secure:zeros ~use_secp:zeros ~weight scratch;
+        pairs.(i) <- Utility.contribution_pairs cfg.model g info scratch ~weight);
+    (* Serial replay in ascending destination order — blocks ascend, so
+       the addition order equals the unblocked serial sweep's. *)
+    for i = 0 to len - 1 do
+      Utility.add_pairs pairs.(i) ~into;
+      pairs.(i) <- ([||], [||])
+    done;
+    lo := !lo + len
+  done;
+  into
+
+(* Fresh start or checkpoint restore. On a resume the progress payload
+   carries the statics store's image: the run serves from the store
+   rebuilt from it, so it has exactly the residency — and reports
+   exactly the hit/miss counters — the interrupted run would have. *)
+let start ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t) statics
+    ~weight ~state =
   let g = Route_static.graph statics in
   let n = Graph.n g in
   let workers = max 1 (min cfg.workers n) in
-  (* Churn-consistent resume: the progress payload carries the statics
-     store's image; rebind [statics] to the store rebuilt from it, so
-     the resumed run serves exactly the residency — and reports
-     exactly the hit/miss counters — the interrupted run would have. *)
-  let statics, resumed_base =
+  let statics =
     match resume_from with
     | Some p ->
-        ( timed m_statics_build_ms (fun () ->
-              Nsobs.Trace.span ~cat:"engine" "statics.prefill" (fun () ->
-                  Route_static.of_snapshot ~workers g p.p_statics)),
-          Some p.p_statics_base )
-    | None -> (statics, None)
+        Phase.run Phase.statics_prefill (fun () ->
+            Route_static.of_snapshot ~workers g p.p_statics)
+    | None -> statics
   in
-  let tiebreak = cfg.tiebreak in
   (* Supervision for the engine's fan-outs: worker failures retry per
      chunk ([Config.retries], capped-exponential backoff with jitter)
      and degrade to serial re-execution; [Config.task_timeout_ms] arms
@@ -381,18 +432,6 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
      increments) and depend on the byte budget — diagnostics, not part
      of the deterministic result. *)
   let stats0 = Route_static.stats statics in
-  (* The baseline the result's statics deltas are reported against: on
-     a snapshot-restored resume it is the counters the *original* run
-     started from, so the resumed result equals the uninterrupted
-     one. *)
-  let base_hits, base_misses, base_evictions =
-    match resumed_base with
-    | Some (h, m, e) -> (h, m, e)
-    | None ->
-        ( stats0.Route_static.hits,
-          stats0.Route_static.misses,
-          stats0.Route_static.evictions )
-  in
   (* The store must serve tie rows sorted under this run's tiebreak
      (dropping stale entries if a previous run used another policy),
      and — when unbounded — be complete before any fan-out: workers
@@ -402,13 +441,11 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
      start (the digest pins the tiebreak), and re-running the prefill
      would skew the restored hit counters. *)
   if Option.is_none resume_from then
-    timed m_statics_build_ms (fun () ->
-        Nsobs.Trace.span ~cat:"engine" "statics.prefill" (fun () ->
-            Route_static.ensure_tiebreak statics cfg.tiebreak;
-            Route_static.ensure_all ~workers statics));
-  (* Stub customers per ISP, for projection filters; packed into a CSR
-     so the per-(destination, candidate) admission scan walks a flat
-     row instead of a boxed list. *)
+    Phase.run Phase.statics_prefill (fun () ->
+        Route_static.ensure_tiebreak statics cfg.tiebreak;
+        Route_static.ensure_all ~workers statics);
+  (* Packed into a CSR so the per-(destination, candidate) admission
+     scan walks a flat row instead of a boxed list. *)
   let stubs =
     let acc = Array.make n [] in
     for i = 0 to n - 1 do
@@ -418,44 +455,6 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
     done;
     Csr.of_rev_lists acc
   in
-  (* Destination-chunk size for the engine's fan-outs: shard-stripe
-     batches over the statics store (floored at the gadget-scale grain
-     of 8, so tiny graphs stay in the calling domain). *)
-  let grain = Route_static.batch_grain statics ~workers ~tasks:n in
-  (* Baseline: utilities before deployment began (empty state). The
-     parallel phase computes per-destination addend streams; the
-     serial replay in destination order performs the same float
-     additions as a sequential sweep, for any worker count.
-     Processed in destination blocks so the transient boxed streams
-     of at most one block are live at a time — at paper scale the
-     full per-destination set would dwarf the statics store. *)
-  let compute_baseline () =
-    let zeros = Bytes.make n '\000' in
-    let into = Array.make n 0.0 in
-    let block = max 1 (min n 4096) in
-    let pairs = Array.make block ([||], [||]) in
-    let lo = ref 0 in
-    while !lo < n do
-      let len = min block (n - !lo) in
-      let base = !lo in
-      Pool.parallel_for sv ~workers ~tasks:len ~grain
-        ~scratch:(fun () -> (Forest.make_scratch n, Route_static.make_builder n))
-        (fun (scratch, bd) i ->
-          let d = base + i in
-          let info = Route_static.stream_get statics bd d in
-          Forest.compute info ~tiebreak ~secure:zeros ~use_secp:zeros ~weight scratch;
-          pairs.(i) <- Utility.contribution_pairs cfg.model g info scratch ~weight);
-      (* Serial replay in ascending destination order — blocks ascend,
-         so the addition order equals the unblocked serial sweep's. *)
-      for i = 0 to len - 1 do
-        Utility.add_pairs pairs.(i) ~into;
-        pairs.(i) <- ([||], [||])
-      done;
-      lo := !lo + len
-    done;
-    into
-  in
-  (* Per-ISP threshold heterogeneity (Section 8.2 extension). *)
   let theta_factor =
     let rng = Nsutil.Prng.create ~seed:cfg.jitter_seed in
     Array.init n (fun _ ->
@@ -464,213 +463,119 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
           Float.max 0.0
             (1.0 +. (cfg.theta_jitter *. ((2.0 *. Nsutil.Prng.float rng 1.0) -. 1.0))))
   in
-  (* Oscillation detection: hash-bucketed fingerprints (deployment
-     sets only, n/4 bytes each — not full state copies) of every
-     visited state, with exact comparison on hash hits. The
-     insertion-order list serializes the table for checkpoints;
-     replaying insertions rebuilds identical buckets. *)
-  let seen_states : (int, (int * State.fingerprint) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let seen_order = ref [] in
-  let insert_seen round fp =
-    let signature = State.fp_signature fp in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt seen_states signature) in
-    Hashtbl.replace seen_states signature ((round, fp) :: bucket);
-    seen_order := (round, fp) :: !seen_order
-  in
-  let inc = Incremental.create statics in
-  let recomputed = ref 0 in
-  let reused = ref 0 in
-  let rounds = ref [] in
-  let round = ref 0 in
-  (* Degradation-ladder state (process-local diagnostics, not part of
-     checkpoints: a fault-free resumed run re-derives zero of both).
-     [demoted.(d) = '\001'] pins destination [d] to the full flip
-     kernel for the rest of the run — bit-identical by the kernel
-     parity contract, so a demotion changes robustness, never
-     results. *)
-  let demoted = Bytes.make n '\000' in
-  let demotions = ref 0 in
-  let checkpoint_skips = ref 0 in
-  let demote d reason =
-    if Bytes.get demoted d <> '\001' then begin
-      Bytes.set demoted d '\001';
-      incr demotions;
-      if Nsobs.Metrics.enabled () then Nsobs.Metrics.inc (Lazy.force m_demotions);
-      if Nsobs.Journal.enabled () then
-        Nsobs.Journal.event "demotion"
-          [ ("dest", Nsobs.Journal.Int d); ("reason", Nsobs.Journal.Str reason) ];
-      Nsutil.Warnings.emit
-        (Printf.sprintf
-           "sbgp: engine: demoting destination %d to the full kernels (%s)" d reason)
-    end
-  in
-  (* Fresh start or checkpoint restore. *)
-  let baseline, initial_secure_as, initial_secure_isp, state =
+  let state, stats_base =
     match resume_from with
+    | Some p -> (State.restore g p.p_state, p.p_statics_base)
     | None ->
-        let baseline = Nsobs.Trace.span ~cat:"engine" "engine.baseline" compute_baseline in
-        let init_as = State.secure_count state in
-        let init_isp = State.secure_isp_count state in
-        insert_seen 0 (State.fingerprint state);
-        (baseline, init_as, init_isp, state)
-    | Some p ->
-        let state = State.restore g p.p_state in
-        List.iter (fun (r, s) -> insert_seen r (State.fp_restore s)) p.p_seen;
-        Incremental.restore inc p.p_inc;
-        round := p.p_round;
-        rounds := p.p_rounds_rev;
-        recomputed := p.p_recomputed;
-        reused := p.p_reused;
-        (p.p_baseline, p.p_initial_secure_as, p.p_initial_secure_isp, state)
+        (state, Route_static.(stats0.hits, stats0.misses, stats0.evictions))
   in
-  (* Metrics report what THIS process did: a resumed run publishes
-     deltas over the restored counters, not the checkpoint's totals. *)
-  let recomputed0 = !recomputed and reused0 = !reused in
+  let r : run_ctx =
+    { cfg; g; n; workers; statics; weight; state; faults; checkpoint; sink; digest; sv;
+      (* Shard-stripe batches over the statics store (floored at the
+         gadget-scale grain of 8, so tiny graphs stay in the calling
+         domain). *)
+      grain = Route_static.batch_grain statics ~workers ~tasks:n;
+      stubs; theta_factor; inc = Incremental.create statics;
+      seen = Hashtbl.create 64; seen_order = [];
+      baseline = [||]; initial_secure_as = 0; initial_secure_isp = 0;
+      round = 0; rounds = []; recomputed = 0; reused = 0; checkpoint_skips = 0;
+      stats0; stats_base }
+  in
+  (match resume_from with
+  | None ->
+      r.baseline <- baseline r;
+      r.initial_secure_as <- State.secure_count state;
+      r.initial_secure_isp <- State.secure_isp_count state;
+      insert_seen r 0 (State.fingerprint state)
+  | Some p ->
+      List.iter (fun (rd, s) -> insert_seen r rd (State.fp_restore s)) p.p_seen;
+      Incremental.restore r.inc p.p_inc;
+      r.baseline <- p.p_baseline;
+      r.initial_secure_as <- p.p_initial_secure_as;
+      r.initial_secure_isp <- p.p_initial_secure_isp;
+      r.round <- p.p_round;
+      r.rounds <- p.p_rounds_rev;
+      r.recomputed <- p.p_recomputed;
+      r.reused <- p.p_reused);
   if Nsobs.Journal.enabled () then
     Nsobs.Journal.event
       (if resume_from = None then "run_start" else "run_resume")
       [
         ("n", Nsobs.Journal.Int n);
         ("workers", Nsobs.Journal.Int workers);
-        ("round", Nsobs.Journal.Int !round);
+        ("round", Nsobs.Journal.Int r.round);
         ("max_rounds", Nsobs.Journal.Int cfg.max_rounds);
       ];
-  let remember round =
-    let signature = State.signature state in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt seen_states signature) in
-    match List.find_opt (fun (_, old) -> State.fp_matches old state) bucket with
-    | Some (first_round, _) -> Some first_round
-    | None ->
-        insert_seen round (State.fingerprint state);
-        None
+  r
+
+(* Round start: mark the dirty set, pick the candidates — insecure
+   ISPs may turn on; under the incoming model with turn-off allowed,
+   secure ISPs may turn off — and capture each candidate's flip as a
+   byte delta. *)
+let begin_round r =
+  let t0 = if Nsobs.Journal.enabled () then Nsobs.Trace.now_us () else 0.0 in
+  if Nsobs.Metrics.enabled () then
+    Nsobs.Metrics.set (Lazy.force m_current_round) (float_of_int r.round);
+  if Nsobs.Journal.enabled () then
+    Nsobs.Journal.event "round_start" [ ("round", Nsobs.Journal.Int r.round) ];
+  let { n; g; state; cfg; _ } = r in
+  let secure = State.secure_bytes state in
+  let use_secp = State.use_secp_bytes state ~stub_tiebreak:cfg.stub_tiebreak in
+  Phase.run Phase.begin_round (fun () -> Incremental.begin_round r.inc state);
+  let turn_off = cfg.allow_turn_off && cfg.model = Config.Incoming in
+  let candidates =
+    List.init n Fun.id
+    |> List.filter (fun i ->
+           Graph.is_isp g i && (not (State.pinned state i))
+           && (turn_off || not (State.full state i)))
+    |> Array.of_list
   in
-  let write_checkpoint () =
-    let due every = !round mod max 1 every = 0 in
-    let checkpoint_due =
-      match checkpoint with Some { every; _ } -> due every | None -> false
-    in
-    let sink_due =
-      match sink with Some { s_every; _ } -> due s_every | None -> false
-    in
-    if checkpoint_due || sink_due then begin
-      let p =
-        {
-          p_round = !round;
-          p_state = State.serialize state;
-          p_seen = List.rev_map (fun (r, fp) -> (r, State.fp_serialize fp)) !seen_order;
-          p_rounds_rev = !rounds;
-          p_recomputed = !recomputed;
-          p_reused = !reused;
-          p_baseline = baseline;
-          p_initial_secure_as = initial_secure_as;
-          p_initial_secure_isp = initial_secure_isp;
-          p_inc = Incremental.snapshot inc;
-          p_statics = Route_static.snapshot statics;
-          p_statics_base = (base_hits, base_misses, base_evictions);
-        }
-      in
-      let payload = Marshal.to_string p [] in
-      (match checkpoint with
-      | Some { path; _ } when checkpoint_due -> (
-          try Checkpoint.write ?faults ~path ~digest ~round:!round payload with
-          | Checkpoint.Error (Checkpoint.Io m) when cfg.degrade ->
-              (* The tmp+rename protocol left the previous snapshot
-                 intact; losing one snapshot interval is strictly
-                 better than losing the run. *)
-              incr checkpoint_skips;
-              if Nsobs.Metrics.enabled () then
-                Nsobs.Metrics.inc (Lazy.force m_checkpoint_skips);
-              if Nsobs.Journal.enabled () then
-                Nsobs.Journal.event "checkpoint_skip"
-                  [ ("round", Nsobs.Journal.Int !round);
-                    ("error", Nsobs.Journal.Str m) ];
-              Nsutil.Warnings.emit
-                (Printf.sprintf
-                   "sbgp: engine: checkpoint write failed (%s); continuing on the \
-                    previous snapshot"
-                   m))
-      | _ -> ());
-      match sink with
-      | Some { s_save; _ } when sink_due -> s_save ~round:!round ~payload
-      | _ -> ()
-    end
+  let was_on = Array.map (fun nc -> State.full state nc) candidates in
+  let deltas =
+    Phase.run Phase.probe (fun () ->
+        probe_deltas state ~secure ~use_secp ~was_on candidates)
   in
-  let termination = ref Max_rounds in
-  let continue = ref true in
-  while !continue && !round < cfg.max_rounds do
-    incr round;
-    let round_args =
-      if Nsobs.Trace.enabled () then Some [ ("round", string_of_int !round) ] else None
-    in
-    let round_t0 =
-      if Nsobs.Metrics.enabled () || Nsobs.Journal.enabled () then
-        Nsobs.Trace.now_us ()
-      else 0.0
-    in
-    if Nsobs.Metrics.enabled () then
-      Nsobs.Metrics.set (Lazy.force m_current_round) (float_of_int !round);
-    if Nsobs.Journal.enabled () then
-      Nsobs.Journal.event "round_start" [ ("round", Nsobs.Journal.Int !round) ];
-    (* The span covers the whole round body — through the checkpoint,
-       if one is due — so traced wall time decomposes into rounds. *)
-    Nsobs.Trace.span ~cat:"engine" ?args:round_args "engine.round" @@ fun () ->
-    let secure = State.secure_bytes state in
-    let use_secp = State.use_secp_bytes state ~stub_tiebreak:cfg.stub_tiebreak in
-    Incremental.begin_round inc state;
-    (* Candidates: insecure ISPs may turn on; under the incoming
-       model with turn-off allowed, secure ISPs may turn off. *)
-    let candidates = ref [] in
-    for i = n - 1 downto 0 do
-      if Graph.is_isp g i && not (State.pinned state i) then begin
-        if State.full state i then begin
-          if cfg.allow_turn_off && cfg.model = Config.Incoming then
-            candidates := i :: !candidates
-        end
-        else candidates := i :: !candidates
-      end
-    done;
-    let candidates = !candidates in
-    let candidates_arr = Array.of_list candidates in
-    let is_candidate = Array.make n false in
-    List.iter (fun nc -> is_candidate.(nc) <- true) candidates;
-    let was_on = Array.map (fun nc -> State.full state nc) candidates_arr in
-    let deltas =
-      timed m_probe_ms (fun () ->
-          Nsobs.Trace.span ~cat:"engine" "engine.probe" (fun () ->
-              probe_deltas state ~secure ~use_secp ~was_on candidates_arr))
-    in
+  {
+    t0;
     (* Round-start snapshots: workers get private copies to flip. *)
-    let sec0 = Bytes.copy secure in
-    let secp0 = Bytes.copy use_secp in
-    let model = cfg.model in
-    let kernel = cfg.flip_kernel in
+    sec0 = Bytes.copy secure;
+    secp0 = Bytes.copy use_secp;
+    candidates;
+    was_on;
+    deltas;
     (* The repair frontier seeds: exactly the nodes each candidate's
        byte delta touches. *)
-    let seed_nodes =
-      Array.map (fun dl -> Array.map (fun (i, _, _) -> i) dl.after) deltas
-    in
-    let ncand = Array.length candidates_arr in
+    seeds = Array.map (fun dl -> Array.map (fun (i, _, _) -> i) dl.after) deltas;
     (* Per-destination probe rows: slot [d] holds the destination's
        admitted (candidate index, changed contribution) pairs, sorted
        by candidate index (the sweep admits in candidate order).
-       Sparse on purpose — the dense (destination × candidate) buffer
-       this replaces is n × ncand floats, ~1.5 GB at paper scale,
-       while admitted probes are a thin sliver of that. Workers write
-       disjoint slots, one plain assignment per destination. *)
-    let rows : (int array * float array) option array = Array.make n None in
-    (* Parallel sweep over destinations: recompute dirty forests
-       (updating the cache) and evaluate the candidate flips whose
-       routing tree actually changes. Dynamically scheduled — workers
-       claim destination chunks off an atomic counter, so a
-       destination with many admitted probes delays only the worker
-       that drew it. All sweep outputs are per-destination slots, so
-       the nondeterministic chunk→worker assignment is
-       result-invisible; the serial reduction below stays in
-       destination order. *)
-    let run_sweep () =
-      Pool.parallel_for sv ~workers ~tasks:n ~grain
+       Sparse on purpose — a dense (destination × candidate) buffer is
+       n × ncand floats, ~1.5 GB at paper scale, while admitted probes
+       are a thin sliver of that. Workers write disjoint slots, one
+       plain assignment per destination. *)
+    rows = Array.make n None;
+  }
+
+(* Parallel sweep over destinations: recompute dirty forests (updating
+   the cache) and evaluate the candidate flips whose routing tree
+   actually changes. Dynamically scheduled — workers claim destination
+   chunks off an atomic counter, so a destination with many admitted
+   probes delays only the worker that drew it. All sweep outputs are
+   per-destination slots, so the nondeterministic chunk→worker
+   assignment is result-invisible; the serial reduction stays in
+   destination order. A slice that keeps failing past the retry budget
+   raises [Pool.Supervision_failed]. *)
+let sweep r rc =
+  (* Locals, not record reads, inside the per-destination body. *)
+  let { cfg; g; n; statics; weight; inc; stubs; _ } = r in
+  let tiebreak = cfg.tiebreak and model = cfg.model and kernel = cfg.flip_kernel in
+  let { sec0; secp0; candidates = candidates_arr; was_on; deltas; seeds = seed_nodes;
+        rows; _ } =
+    rc
+  in
+  let ncand = Array.length candidates_arr in
+  Phase.run Phase.sweep (fun () ->
+      Pool.parallel_for r.sv ~workers:r.workers ~tasks:n ~grain:r.grain
         ~scratch:(fun () ->
           {
             ws_base = Forest.make_scratch n;
@@ -687,11 +592,11 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
         (fun ws d ->
           (* The statics record is fetched lazily: a clean destination
              whose probes all resolve from the graph and the cached
-             forest bits never touches the store — which, under a
-             byte budget, means never recomputing an evicted row.
+             forest bits never touches the store — which, under a byte
+             budget, means never recomputing an evicted row.
              [stream_get] may return a transient record (valid until
-             this worker's next fetch, i.e. for the rest of this
-             task), so the fetch must happen at most once per task. *)
+             this worker's next fetch, i.e. for the rest of this task),
+             so the fetch must happen at most once per task. *)
           let info_slot = ref None in
           let fetch_info () =
             match !info_slot with
@@ -730,29 +635,20 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
               in
               if admit then begin
                 let info = fetch_info () in
-                (* The ladder pins demoted destinations to the full
-                   kernel; identical values either way (kernel
-                   parity), so a demotion is result-invisible. *)
-                let kernel =
-                  if Bytes.unsafe_get demoted d = '\001' then Config.Flip_full
-                  else kernel
-                in
                 let c =
                   match kernel with
                   | Config.Flip_full ->
                       apply_delta ws.ws_sec ws.ws_secp deltas.(ci).after;
                       Forest.compute info ~tiebreak ~secure:ws.ws_sec
                         ~use_secp:ws.ws_secp ~weight ws.ws_flip;
-                      let c =
-                        Utility.contribution model g info ws.ws_flip ~weight nc
-                      in
+                      let c = Utility.contribution model g info ws.ws_flip ~weight nc in
                       apply_delta ws.ws_sec ws.ws_secp deltas.(ci).before;
                       c
                   | Config.Flip_delta ->
-                      (* One base forest per destination, amortized
-                         over its admitted probes; clean destinations
-                         compute it lazily on the first hit (the
-                         cache stores addend streams, not forests). *)
+                      (* One base forest per destination, amortized over
+                         its admitted probes; clean destinations compute
+                         it lazily on the first hit (the cache stores
+                         addend streams, not forests). *)
                       if ws.ws_have_base <> d then begin
                         Forest.compute info ~tiebreak ~secure:ws.ws_sec
                           ~use_secp:ws.ws_secp ~weight ws.ws_base;
@@ -762,9 +658,7 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
                       Forest.repair info ~tiebreak ~secure:ws.ws_sec
                         ~use_secp:ws.ws_secp ~weight ~seeds:seed_nodes.(ci)
                         ws.ws_base ws.ws_rep;
-                      let c =
-                        Utility.contribution model g info ws.ws_base ~weight nc
-                      in
+                      let c = Utility.contribution model g info ws.ws_base ~weight nc in
                       Forest.undo ws.ws_base ws.ws_rep;
                       apply_delta ws.ws_sec ws.ws_secp deltas.(ci).before;
                       c
@@ -776,214 +670,256 @@ let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from (cfg : Config.t)
             candidates_arr;
           rows.(d) <-
             (if !count = 0 then None
-             else Some (Array.sub ws.ws_ci 0 !count, Array.sub ws.ws_c 0 !count)))
-    in
-    (* Sweep rung of the degradation ladder: when supervision fails
-       beyond the retry budget and degradation is on, demote the dead
-       destinations to the full kernels and re-run the sweep (at most
-       twice) instead of crashing. Re-running overwrites the same
-       per-destination slots with the same values — idempotent by
-       construction — so a rescued sweep is bit-identical to an
-       undisturbed one. *)
-    let rec sweep_ladder attempt =
-      try run_sweep () with
-      | Pool.Supervision_failed fs when cfg.degrade && attempt < 2 ->
-          List.iter
-            (fun (f : Pool.failure) ->
-              if f.Pool.index >= 0 && f.Pool.index < n then
-                demote f.Pool.index ("supervision failure: " ^ f.Pool.error))
-            fs;
-          Array.fill rows 0 n None;
-          sweep_ladder (attempt + 1)
-    in
-    timed m_sweep_ms (fun () ->
-        Nsobs.Trace.span ~cat:"engine" "engine.sweep" (fun () -> sweep_ladder 0));
-    let dc = Incremental.dirty_count inc in
-    recomputed := !recomputed + dc;
-    reused := !reused + (n - dc);
-    (* Deterministic serial reduction, in destination order: replay
-       the cached addend streams and fold the projections. *)
-    let utilities = Array.make n 0.0 in
-    let projected = Array.make n 0.0 in
-    let cand_slot = Array.map (fun nc -> Incremental.isp_slot inc nc) candidates_arr in
-    timed m_reduce_ms (fun () ->
-    Nsobs.Trace.span ~cat:"engine" "engine.reduce" (fun () ->
-    for d = 0 to n - 1 do
-      let e = Incremental.entry inc d in
-      Incremental.add_pairs e ~into:utilities;
-      (* Unchanged (destination, candidate) slots take the cached base
-         contribution; the destination's sparse probe row is sorted by
-         candidate index, so one merge cursor walks it while ci scans
-         all candidates — the same per-destination candidate order as
-         the sweep, and the same float additions as the dense buffer
-         this replaces. *)
-      (match Array.unsafe_get rows d with
-      | None ->
-          for ci = 0 to ncand - 1 do
-            let nc = Array.unsafe_get candidates_arr ci in
-            projected.(nc) <-
-              projected.(nc)
-              +. Incremental.row_value e (Array.unsafe_get cand_slot ci)
-          done
-      | Some (cis, cs) ->
-          let len = Array.length cis in
-          let p = ref 0 in
-          for ci = 0 to ncand - 1 do
-            let nc = Array.unsafe_get candidates_arr ci in
-            let c =
-              if !p < len && Array.unsafe_get cis !p = ci then begin
-                let c = Array.unsafe_get cs !p in
-                incr p;
-                c
-              end
-              else Incremental.row_value e (Array.unsafe_get cand_slot ci)
-            in
-            projected.(nc) <- projected.(nc) +. c
-          done)
-    done;
-    (* Non-candidates project their current utility. *)
-    for i = 0 to n - 1 do
-      if not is_candidate.(i) then projected.(i) <- utilities.(i)
-    done));
-    (* Simultaneous flips per Eq. 3. *)
-    let turned_on = ref [] in
-    let turned_off = ref [] in
-    Nsobs.Trace.span ~cat:"engine" "engine.decide" (fun () ->
-    List.iter
-      (fun nc ->
-        let threshold =
-          theta_factor.(nc)
-          *. (if State.full state nc then cfg.theta_off else cfg.theta)
-        in
-        if projected.(nc) > (1.0 +. threshold) *. utilities.(nc) then begin
-          if State.full state nc then turned_off := nc :: !turned_off
-          else turned_on := nc :: !turned_on
-        end)
-      candidates;
-    List.iter (fun nc -> ignore (State.enable state nc)) !turned_on;
-    List.iter (fun nc -> State.disable state nc) !turned_off);
-    let record =
+             else Some (Array.sub ws.ws_ci 0 !count, Array.sub ws.ws_c 0 !count))));
+  let dc = Incremental.dirty_count inc in
+  r.recomputed <- r.recomputed + dc;
+  r.reused <- r.reused + (n - dc)
+
+(* Deterministic serial reduction, in destination order: replay the
+   cached addend streams and fold the projections. Returns every node's
+   (utility, projected utility). *)
+let reduce r rc =
+  let n = r.n and inc = r.inc and candidates_arr = rc.candidates and rows = rc.rows in
+  let ncand = Array.length candidates_arr in
+  let utilities = Array.make n 0.0 in
+  let projected = Array.make n 0.0 in
+  let cand_slot = Array.map (fun nc -> Incremental.isp_slot inc nc) candidates_arr in
+  let no_row = ([||], [||]) in
+  Phase.run Phase.reduce (fun () ->
+      for d = 0 to n - 1 do
+        let e = Incremental.entry inc d in
+        Incremental.add_pairs e ~into:utilities;
+        (* Unchanged (destination, candidate) slots take the cached base
+           contribution; the destination's sparse probe row is sorted
+           by candidate index, so one merge cursor walks it while ci
+           scans all candidates — the same per-destination candidate
+           order as the sweep, and the same float additions as a dense
+           buffer. *)
+        let cis, cs = Option.value ~default:no_row (Array.unsafe_get rows d) in
+        let len = Array.length cis in
+        let p = ref 0 in
+        for ci = 0 to ncand - 1 do
+          let nc = Array.unsafe_get candidates_arr ci in
+          let c =
+            if !p < len && Array.unsafe_get cis !p = ci then begin
+              let c = Array.unsafe_get cs !p in
+              incr p;
+              c
+            end
+            else Incremental.row_value e (Array.unsafe_get cand_slot ci)
+          in
+          projected.(nc) <- projected.(nc) +. c
+        done
+      done;
+      (* Non-candidates project their current utility. *)
+      let all = Array.copy utilities in
+      Array.iter (fun nc -> all.(nc) <- projected.(nc)) candidates_arr;
+      (utilities, all))
+
+(* Simultaneous flips per Eq. 3, then the round's record and
+   telemetry. Returns the termination if the game ended this round. *)
+let decide r rc ~utilities ~projected =
+  let { cfg; state; _ } = r in
+  let turned_on = ref [] in
+  let turned_off = ref [] in
+  Phase.run Phase.decide (fun () ->
+      Array.iter
+        (fun nc ->
+          let threshold =
+            r.theta_factor.(nc) *. (if State.full state nc then cfg.theta_off else cfg.theta)
+          in
+          if projected.(nc) > (1.0 +. threshold) *. utilities.(nc) then begin
+            if State.full state nc then turned_off := nc :: !turned_off
+            else turned_on := nc :: !turned_on
+          end)
+        rc.candidates;
+      List.iter (fun nc -> ignore (State.enable state nc)) !turned_on;
+      List.iter (fun nc -> State.disable state nc) !turned_off);
+  let record : round_record =
+    {
+      round = r.round;
+      utilities;
+      projected;
+      turned_on = List.rev !turned_on;
+      turned_off = List.rev !turned_off;
+      secure_as = State.secure_count state;
+      secure_isp = State.secure_isp_count state;
+      secure_stub = State.secure_stub_count state;
+    }
+  in
+  r.rounds <- record :: r.rounds;
+  let dc = Incremental.dirty_count r.inc in
+  let on = List.length record.turned_on and off = List.length record.turned_off in
+  if Nsobs.Metrics.enabled () then begin
+    Nsobs.Metrics.inc (Lazy.force m_rounds);
+    Nsobs.Metrics.add (Lazy.force m_flips_on) on;
+    Nsobs.Metrics.add (Lazy.force m_flips_off) off;
+    Nsobs.Metrics.observe (Lazy.force m_flips_hist) (float_of_int (on + off));
+    Nsobs.Metrics.observe (Lazy.force m_dirty_hist) (float_of_int dc);
+    Nsobs.Metrics.add (Lazy.force m_dest_recomputed) dc;
+    Nsobs.Metrics.add (Lazy.force m_dest_reused) (r.n - dc)
+  end;
+  if Nsobs.Journal.enabled () then
+    Nsobs.Journal.event "round_end"
+      [
+        ("round", Nsobs.Journal.Int r.round);
+        ("on", Nsobs.Journal.Int on);
+        ("off", Nsobs.Journal.Int off);
+        ("dirty", Nsobs.Journal.Int dc);
+        ("secure_as", Nsobs.Journal.Int record.secure_as);
+        ("wall_ms", Nsobs.Journal.Float ((Nsobs.Trace.now_us () -. rc.t0) /. 1000.0));
+      ];
+  if on + off = 0 then Some Stable
+  else Option.map (fun first_round -> Oscillation { first_round }) (remember r)
+
+(* Checkpoint the run's cross-round memory when the file or the sink
+   is due. Under [Config.degrade] a failed file write is skipped: the
+   tmp+rename protocol left the previous snapshot intact, and losing
+   one snapshot interval is strictly better than losing the run. *)
+let persist r =
+  let due every = r.round mod max 1 every = 0 in
+  let checkpoint_due =
+    match r.checkpoint with Some { every; _ } -> due every | None -> false
+  in
+  let sink_due = match r.sink with Some { s_every; _ } -> due s_every | None -> false in
+  if checkpoint_due || sink_due then begin
+    let p =
       {
-        round = !round;
-        utilities;
-        projected;
-        turned_on = List.rev !turned_on;
-        turned_off = List.rev !turned_off;
-        secure_as = State.secure_count state;
-        secure_isp = State.secure_isp_count state;
-        secure_stub = State.secure_stub_count state;
+        p_round = r.round;
+        p_state = State.serialize r.state;
+        p_seen = List.rev_map (fun (rd, fp) -> (rd, State.fp_serialize fp)) r.seen_order;
+        p_rounds_rev = r.rounds;
+        p_recomputed = r.recomputed;
+        p_reused = r.reused;
+        p_baseline = r.baseline;
+        p_initial_secure_as = r.initial_secure_as;
+        p_initial_secure_isp = r.initial_secure_isp;
+        p_inc = Incremental.snapshot r.inc;
+        p_statics = Route_static.snapshot r.statics;
+        p_statics_base = r.stats_base;
       }
     in
-    rounds := record :: !rounds;
-    if Nsobs.Metrics.enabled () then begin
-      Nsobs.Metrics.inc (Lazy.force m_rounds);
-      let on = List.length record.turned_on and off = List.length record.turned_off in
-      Nsobs.Metrics.add (Lazy.force m_flips_on) on;
-      Nsobs.Metrics.add (Lazy.force m_flips_off) off;
-      Nsobs.Metrics.observe (Lazy.force m_flips_hist) (float_of_int (on + off));
-      Nsobs.Metrics.observe (Lazy.force m_dirty_hist) (float_of_int dc);
-      Nsobs.Metrics.observe (Lazy.force m_round_ms)
-        ((Nsobs.Trace.now_us () -. round_t0) /. 1000.0)
-    end;
-    if Nsobs.Journal.enabled () then
-      Nsobs.Journal.event "round_end"
-        [
-          ("round", Nsobs.Journal.Int !round);
-          ("on", Nsobs.Journal.Int (List.length record.turned_on));
-          ("off", Nsobs.Journal.Int (List.length record.turned_off));
-          ("dirty", Nsobs.Journal.Int dc);
-          ("secure_as", Nsobs.Journal.Int record.secure_as);
-          ("wall_ms", Nsobs.Journal.Float ((Nsobs.Trace.now_us () -. round_t0) /. 1000.0));
-        ];
-    if !turned_on = [] && !turned_off = [] then begin
-      termination := Stable;
-      continue := false
-    end
-    else begin
-      match remember !round with
-      | Some first_round ->
-          termination := Oscillation { first_round };
-          continue := false
-      | None -> ()
-    end;
-    (* Snapshot only when another round is coming: a checkpoint always
-       represents a run with work left to do, so a resume re-enters
-       the loop exactly where the interrupted run would have. *)
-    if !continue && !round < cfg.max_rounds then write_checkpoint ()
-  done;
-  let stats1 = Route_static.stats statics in
+    let payload = Marshal.to_string p [] in
+    (match r.checkpoint with
+    | Some { path; _ } when checkpoint_due -> (
+        try Checkpoint.write ?faults:r.faults ~path ~digest:r.digest ~round:r.round payload
+        with Checkpoint.Error (Checkpoint.Io m) when r.cfg.degrade ->
+          r.checkpoint_skips <- r.checkpoint_skips + 1;
+          if Nsobs.Metrics.enabled () then Nsobs.Metrics.inc (Lazy.force m_checkpoint_skips);
+          if Nsobs.Journal.enabled () then
+            Nsobs.Journal.event "checkpoint_skip"
+              [ ("round", Nsobs.Journal.Int r.round); ("error", Nsobs.Journal.Str m) ];
+          Nsutil.Warnings.emit
+            (Printf.sprintf
+               "sbgp: engine: checkpoint write failed (%s); continuing on the previous \
+                snapshot"
+               m))
+    | _ -> ());
+    match r.sink with
+    | Some { s_save; _ } when sink_due -> s_save ~round:r.round ~payload
+    | _ -> ()
+  end
+
+(* End of run: publish this process's counters and assemble the
+   result. *)
+let finish r termination : result =
+  let stats1 = Route_static.stats r.statics in
+  let base_hits, base_misses, base_evictions = r.stats_base in
   if Nsobs.Metrics.enabled () then begin
     (* Store counters are racy under concurrent workers (diagnostics,
        not results); clamp so a lost increment can't make a "delta"
        negative and trip the counter invariant. *)
     let delta a b = max 0 (a - b) in
     Nsobs.Metrics.add (Lazy.force m_statics_hits)
-      (delta stats1.Route_static.hits stats0.Route_static.hits);
+      (delta stats1.Route_static.hits r.stats0.Route_static.hits);
     Nsobs.Metrics.add (Lazy.force m_statics_misses)
-      (delta stats1.Route_static.misses stats0.Route_static.misses);
+      (delta stats1.Route_static.misses r.stats0.Route_static.misses);
     Nsobs.Metrics.add (Lazy.force m_statics_evictions)
-      (delta stats1.Route_static.evictions stats0.Route_static.evictions);
+      (delta stats1.Route_static.evictions r.stats0.Route_static.evictions);
     Nsobs.Metrics.set (Lazy.force m_statics_bytes)
-      (float_of_int stats1.Route_static.cached_bytes);
-    Nsobs.Metrics.add (Lazy.force m_dest_recomputed) (delta !recomputed recomputed0);
-    Nsobs.Metrics.add (Lazy.force m_dest_reused) (delta !reused reused0)
+      (float_of_int stats1.Route_static.cached_bytes)
   end;
   if Nsobs.Journal.enabled () then
     Nsobs.Journal.event "run_end"
       [
         ( "termination",
           Nsobs.Journal.Str
-            (match !termination with
+            (match termination with
             | Stable -> "stable"
-            | Oscillation { first_round } ->
-                Printf.sprintf "oscillation@%d" first_round
+            | Oscillation { first_round } -> Printf.sprintf "oscillation@%d" first_round
             | Max_rounds -> "max_rounds") );
-        ("rounds", Nsobs.Journal.Int !round);
+        ("rounds", Nsobs.Journal.Int r.round);
         (* Statics store deltas for this run (hit/miss/eviction). *)
         ("statics_hits", Nsobs.Journal.Int (stats1.Route_static.hits - base_hits));
-        ( "statics_misses",
-          Nsobs.Journal.Int (stats1.Route_static.misses - base_misses) );
+        ("statics_misses", Nsobs.Journal.Int (stats1.Route_static.misses - base_misses));
         ( "statics_evictions",
           Nsobs.Journal.Int (stats1.Route_static.evictions - base_evictions) );
-        ("demotions", Nsobs.Journal.Int !demotions);
-        ("checkpoint_skips", Nsobs.Journal.Int !checkpoint_skips);
+        ("checkpoint_skips", Nsobs.Journal.Int r.checkpoint_skips);
       ];
   {
-    baseline;
-    initial_secure_as;
-    initial_secure_isp;
-    rounds = List.rev !rounds;
-    final = state;
-    termination = !termination;
-    dest_recomputed = !recomputed;
-    dest_reused = !reused;
+    baseline = r.baseline;
+    initial_secure_as = r.initial_secure_as;
+    initial_secure_isp = r.initial_secure_isp;
+    rounds = List.rev r.rounds;
+    final = r.state;
+    termination;
+    dest_recomputed = r.recomputed;
+    dest_reused = r.reused;
     statics_hits = stats1.Route_static.hits - base_hits;
     statics_misses = stats1.Route_static.misses - base_misses;
     statics_evictions = stats1.Route_static.evictions - base_evictions;
-    demotions = !demotions;
-    checkpoint_skips = !checkpoint_skips;
-    statics_store = statics;
+    checkpoint_skips = r.checkpoint_skips;
+    statics_store = r.statics;
   }
 
-let null_digest = String.make 32 '\000'
+let run_internal ~checkpoint ~sink ~faults ~digest ~resume_from cfg statics ~weight
+    ~state =
+  Phase.run Phase.engine_run @@ fun () ->
+  let r = start ~checkpoint ~sink ~faults ~digest ~resume_from cfg statics ~weight ~state in
+  let rec loop () =
+    if r.round >= r.cfg.max_rounds then Max_rounds
+    else begin
+      r.round <- r.round + 1;
+      let args =
+        if Nsobs.Trace.enabled () then Some [ ("round", string_of_int r.round) ] else None
+      in
+      (* The round span covers the whole round — through the
+         checkpoint, if one is due — so traced wall time decomposes
+         into rounds. *)
+      let ended =
+        Phase.run ?args Phase.engine_round (fun () ->
+            let rc = begin_round r in
+            sweep r rc;
+            let utilities, projected = reduce r rc in
+            let ended = decide r rc ~utilities ~projected in
+            (* Snapshot only when another round is coming: a checkpoint
+               always represents a run with work left to do, so a resume
+               re-enters the loop exactly where the interrupted run
+               would have. *)
+            if Option.is_none ended && r.round < r.cfg.max_rounds then persist r;
+            ended)
+      in
+      match ended with Some termination -> termination | None -> loop ()
+    end
+  in
+  finish r (loop ())
 
 let resolve_faults = function
   | Some _ as f -> f
   | None -> Nsutil.Faults.of_env ()
 
+(* The input digest walks the whole topology; only pay for it when
+   snapshot files will actually be written. Sink payloads are framed
+   (and digest-bound) by the sink's owner. *)
+let file_digest checkpoint cfg statics ~weight ~state =
+  match checkpoint with
+  | None -> String.make 32 '\000'
+  | Some _ -> input_digest cfg statics ~weight ~state
+
 let run ?checkpoint ?sink ?faults (cfg : Config.t) statics ~weight ~state =
-  let faults = resolve_faults faults in
-  (* The input digest walks the whole topology; only pay for it when
-     snapshots will actually be written. Sink payloads are framed (and
-     digest-bound) by the sink's owner. *)
-  let digest =
-    match checkpoint with
-    | None -> null_digest
-    | Some _ -> input_digest cfg statics ~weight ~state
-  in
-  Nsobs.Trace.span ~cat:"engine" "engine.run" (fun () ->
-      run_internal ~checkpoint ~sink ~faults ~digest ~resume_from:None cfg statics
-        ~weight ~state)
+  run_internal ~checkpoint ~sink ~faults:(resolve_faults faults)
+    ~digest:(file_digest checkpoint cfg statics ~weight ~state)
+    ~resume_from:None cfg statics ~weight ~state
 
 let resume ~from ?checkpoint ?sink ?faults (cfg : Config.t) statics ~weight ~state =
   let faults = resolve_faults faults in
@@ -999,22 +935,15 @@ let resume ~from ?checkpoint ?sink ?faults (cfg : Config.t) statics ~weight ~sta
   let p = (Marshal.from_string frame.Checkpoint.payload 0 : progress) in
   if p.p_round <> frame.Checkpoint.round then
     raise (Checkpoint.Error Checkpoint.Corrupt);
-  Nsobs.Trace.span ~cat:"engine" "engine.run" (fun () ->
-      run_internal ~checkpoint ~sink ~faults ~digest ~resume_from:(Some p) cfg statics
-        ~weight ~state)
+  run_internal ~checkpoint ~sink ~faults ~digest ~resume_from:(Some p) cfg statics
+    ~weight ~state
 
 let resume_of_payload ~payload ?checkpoint ?sink ?faults (cfg : Config.t) statics
     ~weight ~state =
-  let faults = resolve_faults faults in
-  let digest =
-    match checkpoint with
-    | None -> null_digest
-    | Some _ -> input_digest cfg statics ~weight ~state
-  in
   let p = (Marshal.from_string payload 0 : progress) in
-  Nsobs.Trace.span ~cat:"engine" "engine.run" (fun () ->
-      run_internal ~checkpoint ~sink ~faults ~digest ~resume_from:(Some p) cfg statics
-        ~weight ~state)
+  run_internal ~checkpoint ~sink ~faults:(resolve_faults faults)
+    ~digest:(file_digest checkpoint cfg statics ~weight ~state)
+    ~resume_from:(Some p) cfg statics ~weight ~state
 
 let secure_fraction result kind =
   let state = result.final in
@@ -1026,7 +955,7 @@ let secure_fraction result kind =
       let isps = Graph.count_class g Asgraph.As_class.Isp in
       float_of_int (State.secure_isp_count state) /. float_of_int (max 1 isps)
 
-let rounds_run result = List.length result.rounds
+let rounds_run (result : result) = List.length result.rounds
 
 let cache_hit_rate result =
   let total = result.dest_recomputed + result.dest_reused in

@@ -13,7 +13,17 @@
     are insecure even after the candidate's flip are skipped; under
     the outgoing model secure ISPs are never candidates (Theorem 6.2);
     and a (candidate, destination) pair is only recomputed when the
-    flip can actually alter that destination's routing tree. *)
+    flip can actually alter that destination's routing tree.
+
+    In the implementation a run is a sequence of named phases, each a
+    function over one run record: [start] (fresh, with [baseline], or
+    restored from a checkpoint), then per round [begin_round] (dirty
+    set, candidates, flip byte deltas), [sweep] (the parallel
+    per-destination projection), [reduce] (the serial fold in
+    destination order), [decide] (the simultaneous flips and the
+    termination test) and [persist] (the checkpoint), and [finish].
+    Each phase's span and wall-time histogram are named once, in
+    {!Nsobs.Phase}. *)
 
 type round_record = {
   round : int;  (** 1-based *)
@@ -50,15 +60,6 @@ type result = {
           report (slightly) different values. *)
   statics_misses : int;  (** statics-store recomputes (incl. the initial fill) *)
   statics_evictions : int;  (** statics entries evicted to stay in budget *)
-  demotions : int;
-      (** destinations the degradation ladder pinned to the full
-          flip/statics kernels during this process's run, after
-          repeated supervision failure of their sweep slice. Always
-          [0] when
-          [Config.degrade] is off (those conditions raise instead).
-          Diagnostics like the statics counters: demotions change
-          robustness, never results (the full kernels are the
-          bit-identical reference). *)
   checkpoint_skips : int;
       (** checkpoint writes that failed with an I/O error and were
           skipped under [Config.degrade] (the previous snapshot
@@ -131,11 +132,11 @@ val run :
     callers (the churn runner) that frame and persist it themselves.
 
     With [Config.task_timeout_ms > 0] the sweeps also run under the
-    {!Parallel.Pool} hang watchdog; with [Config.degrade] the
-    degradation ladder turns repeated supervision failures and
-    checkpoint I/O errors into per-destination
-    kernel demotions / skipped snapshots (counted in the result)
-    instead of exceptions.
+    {!Parallel.Pool} hang watchdog; with [Config.degrade] a
+    checkpoint write that fails with an I/O error is skipped (counted
+    in [checkpoint_skips]) instead of raised. [Config.degrade] does
+    not touch the sweeps: {!Parallel.Pool.Supervision_failed} escapes
+    either way.
 
     [faults] is the fault-injection plan threaded into the sweeps and
     the checkpoint writer; it defaults to the [SBGP_FAULTS]

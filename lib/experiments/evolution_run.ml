@@ -17,16 +17,6 @@ module Engine = Core.Engine
 module Checkpoint = Core.Checkpoint
 module Faults = Nsutil.Faults
 
-(* Statics churn-repair timing lands here rather than in
-   [Route_static] itself: lib/bgp deliberately has no nsobs
-   dependency, and this call site is the only epoch-boundary rebase
-   path. *)
-let m_rebase_ms =
-  lazy
-    (Nsobs.Metrics.histogram ~help:"statics store churn rebase (ms)"
-       ~buckets:[| 0.1; 0.5; 1.; 5.; 10.; 50.; 100.; 500.; 1000.; 5000. |]
-       "statics_rebase_ms")
-
 type params = {
   epochs : int;
   growth_fraction : float;
@@ -45,7 +35,6 @@ type epoch_summary = {
   e_new_on_secure : (int * int) option;
   e_rounds : int;
   e_statics_misses : int;
-  e_demotions : int;
   e_seconds : float;
 }
 
@@ -160,7 +149,6 @@ let run_epochs ~params ~(cfg : Config.t) ~faults ~checkpoint ~digest ~early ~sta
           ("rounds", Nsobs.Journal.Int (Engine.rounds_run result));
           ("seconds", Nsobs.Journal.Float dt);
           ("statics_misses", Nsobs.Journal.Int result.Engine.statics_misses);
-          ("demotions", Nsobs.Journal.Int result.Engine.demotions);
         ];
     let summary ~new_on_secure =
       {
@@ -171,7 +159,6 @@ let run_epochs ~params ~(cfg : Config.t) ~faults ~checkpoint ~digest ~early ~sta
         e_new_on_secure = new_on_secure;
         e_rounds = Engine.rounds_run result;
         e_statics_misses = result.Engine.statics_misses;
-        e_demotions = result.Engine.demotions;
         e_seconds = dt;
       }
     in
@@ -199,13 +186,13 @@ let run_epochs ~params ~(cfg : Config.t) ~faults ~checkpoint ~digest ~early ~sta
       let statics =
         match cfg.statics_kernel with
         | Route_static.Delta -> (
+            (* Timed here rather than in [Route_static] itself: lib/bgp
+               deliberately has no nsobs dependency, and this is the only
+               epoch-boundary rebase path. *)
             let j =
-              (if Nsobs.Metrics.enabled () then
-                 Nsobs.Metrics.timed (Lazy.force m_rebase_ms)
-               else fun f -> f ())
-                (fun () ->
-                  Route_static.rebase ~kernel:Route_static.Delta
-                    ~workers:cfg.workers ?faults statics ~delta grown)
+              Nsobs.Phase.run Nsobs.Phase.statics_rebase (fun () ->
+                  Route_static.rebase ~kernel:Route_static.Delta ~workers:cfg.workers
+                    ?faults statics ~delta grown)
             in
             (* Fault site evolve.delta: the epoch migration is declared
                failed after the fact. Recovery exercises the journal —

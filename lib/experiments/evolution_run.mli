@@ -43,7 +43,6 @@ type epoch_summary = {
           [None] for the final epoch (nothing is added after it) *)
   e_rounds : int;
   e_statics_misses : int;  (** diagnostic (see {!Core.Engine.result}) *)
-  e_demotions : int;  (** degradation-ladder demotions during the epoch *)
   e_seconds : float;  (** wall clock; NOT stable across resume *)
 }
 

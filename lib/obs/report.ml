@@ -194,30 +194,26 @@ let render ?journal_path () =
       | Some r -> line "rounds: %d (%s)" rounds r
       | None -> line "rounds: %d" rounds)
   | None -> line "rounds: %d" rounds);
-  let phases =
-    [
-      ("round", "engine_round_ms", Option.map (fun s -> s.round_wall_ms) st);
-      ("probe", "engine_probe_ms", None);
-      ("sweep", "engine_sweep_ms", None);
-      ("reduce", "engine_reduce_ms", None);
-      ("statics build", "statics_build_ms", None);
-      ("statics repair", "statics_rebase_ms", None);
-      ("ckpt write", "checkpoint_write_ms", None);
-      ("ckpt load", "checkpoint_load_ms", None);
-    ]
-  in
+  (* The round's journal wall times stand in when this process
+     observed no round itself. *)
   let cells =
     List.filter_map
-      (fun (label, metric, samples) ->
-        match p50_p99 ?samples metric with
-        | Some (p50, p99) ->
-            Some (Printf.sprintf "%s %s/%s" label (fmt p50) (fmt p99))
-        | None -> None)
-      phases
+      (fun (p : Phase.t) ->
+        match p.hist with
+        | None -> None
+        | Some h -> (
+            let samples =
+              if p == Phase.engine_round then Option.map (fun s -> s.round_wall_ms) st
+              else None
+            in
+            match p50_p99 ?samples h.metric with
+            | Some (p50, p99) ->
+                Some (Printf.sprintf "%s %s/%s" h.label (fmt p50) (fmt p99))
+            | None -> None))
+      Phase.all
   in
   if cells <> [] then line "phase p50/p99 ms: %s" (String.concat " | " cells);
-  line "resilience: demotions %d | checkpoint skips %d | watchdog fires %d | retries %d"
-    (resilience_total st "engine_demotions_total" "demotion")
+  line "resilience: checkpoint skips %d | watchdog fires %d | retries %d"
     (resilience_total st "engine_checkpoint_skips_total" "checkpoint_skip")
     (resilience_total st "pool_watchdog_cancel_total" "watchdog_fire")
     (resilience_total st "pool_retry_total" "pool_retry");

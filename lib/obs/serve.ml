@@ -34,11 +34,10 @@ let v name = Option.value ~default:0.0 (Metrics.value name)
 
 let healthz_body t =
   let uptime = Unix.gettimeofday () -. t.started_at in
-  let demotions = v "engine_demotions_total"
-  and skips = v "engine_checkpoint_skips_total"
+  let skips = v "engine_checkpoint_skips_total"
   and cancels = v "pool_watchdog_cancel_total"
   and retries = v "pool_retry_total" in
-  let degraded = demotions +. skips +. cancels +. retries > 0.0 in
+  let degraded = skips +. cancels +. retries > 0.0 in
   let buf = Buffer.create 256 in
   Printf.bprintf buf "{\"status\":\"ok\",\"uptime_s\":%s" (fmt_float uptime);
   Printf.bprintf buf ",\"round\":%s,\"rounds_total\":%s"
@@ -46,9 +45,8 @@ let healthz_body t =
     (fmt_float (v "engine_rounds_total"));
   Printf.bprintf buf ",\"degraded\":%b" degraded;
   Printf.bprintf buf
-    ",\"resilience\":{\"demotions\":%s,\"checkpoint_skips\":%s,\"watchdog_cancels\":%s,\"retries\":%s}"
-    (fmt_float demotions) (fmt_float skips) (fmt_float cancels)
-    (fmt_float retries);
+    ",\"resilience\":{\"checkpoint_skips\":%s,\"watchdog_cancels\":%s,\"retries\":%s}"
+    (fmt_float skips) (fmt_float cancels) (fmt_float retries);
   Printf.bprintf buf ",\"metrics_enabled\":%b" (Metrics.enabled ());
   (match Journal.path () with
   | Some p ->

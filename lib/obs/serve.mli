@@ -5,7 +5,7 @@
     exposition format (with a fresh RSS sample when metrics are
     enabled); [GET /healthz] returns a small JSON document with run
     progress (current round, rounds total), uptime, degradation
-    state (demotions, checkpoint skips, watchdog cancels, retries)
+    state (checkpoint skips, watchdog cancels, retries)
     and journal status. Anything else is a 404.
 
     Requests are served serially; responses close the connection.

@@ -3,50 +3,32 @@
    how calls are served. Every hook hides behind a static
    [Trace.enabled]/[Metrics.enabled] check, so unobserved runs pay a
    load+branch per call, not per task. *)
+let counter help name = lazy (Nsobs.Metrics.counter ~help name)
+
 let m_spawns =
-  lazy
-    (Nsobs.Metrics.counter ~help:"helper domains spawned (bank growth + fallback)"
-       "pool_domain_spawn_total")
+  counter "helper domains spawned (bank growth + fallback)" "pool_domain_spawn_total"
 
-let m_parks =
-  lazy (Nsobs.Metrics.counter ~help:"bank worker park events" "pool_park_total")
-
-let m_leases =
-  lazy
-    (Nsobs.Metrics.counter ~help:"parallel calls served by the parked worker bank"
-       "pool_bank_lease_total")
+let m_parks = counter "bank worker park events" "pool_park_total"
+let m_leases = counter "parallel calls served by the parked worker bank" "pool_bank_lease_total"
 
 let m_fallbacks =
-  lazy
-    (Nsobs.Metrics.counter
-       ~help:"parallel calls that fell back to fresh Domain.spawn"
-       "pool_spawn_fallback_total")
+  counter "parallel calls that fell back to fresh Domain.spawn" "pool_spawn_fallback_total"
 
-let m_retries =
-  lazy
-    (Nsobs.Metrics.counter ~help:"supervised chunk re-executions" "pool_retry_total")
-
-let m_slice_failures =
-  lazy
-    (Nsobs.Metrics.counter ~help:"supervised chunk attempts that raised"
-       "pool_slice_fail_total")
+let m_retries = counter "supervised chunk re-executions" "pool_retry_total"
+let m_slice_failures = counter "supervised chunk attempts that raised" "pool_slice_fail_total"
 
 let m_bank_size =
   lazy
     (Nsobs.Metrics.gauge ~help:"helper domains parked in the bank" "pool_bank_workers")
 
 let m_watchdog_cancels =
-  lazy
-    (Nsobs.Metrics.counter ~help:"stalled workers cancelled by the watchdog"
-       "pool_watchdog_cancel_total")
+  counter "stalled workers cancelled by the watchdog" "pool_watchdog_cancel_total"
 
 let m_backoff_ms =
   lazy
     (Nsobs.Metrics.histogram ~help:"supervised retry backoff sleeps (ms)"
        ~buckets:[| 1.; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000. |]
        "pool_backoff_delay_ms")
-
-let slice_span f = Nsobs.Trace.span ~cat:"pool" "pool.slice" f
 
 let workers_of_domain_count c = max 1 (c - 1)
 
@@ -93,7 +75,7 @@ let bank_worker_loop w =
         if Nsobs.Metrics.enabled () then Nsobs.Metrics.inc (Lazy.force m_parks);
         (* The span covers the parked wait, so the trace shows each
            worker's idle periods between leases. *)
-        Nsobs.Trace.span ~cat:"pool" "pool.park" (fun () -> Condition.wait w.wcv w.wm)
+        Nsobs.Phase.run Nsobs.Phase.pool_park (fun () -> Condition.wait w.wcv w.wm)
     | Some job ->
         w.wjob <- None;
         Mutex.unlock w.wm;
@@ -429,7 +411,7 @@ let parallel_for sv ~workers ~tasks ~grain ~scratch body =
     let next_chunk = Atomic.make 0 in
     let failures = Array.make workers [] in
     let worker w =
-      slice_span (fun () ->
+      Nsobs.Phase.run Nsobs.Phase.pool_slice (fun () ->
           let tracker = mk_tracker () in
           let s = lazy (scratch ()) in
           let rec claim () =

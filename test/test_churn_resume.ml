@@ -67,7 +67,6 @@ let check_summary_equal ~counters i (a : Evolution_run.epoch_summary)
     Alcotest.(option (pair int int))
     (lbl "e_new_on_secure") a.e_new_on_secure b.e_new_on_secure;
   check Alcotest.int (lbl "e_rounds") a.e_rounds b.e_rounds;
-  check Alcotest.int (lbl "e_demotions") a.e_demotions b.e_demotions;
   if counters then
     check Alcotest.int (lbl "e_statics_misses") a.e_statics_misses b.e_statics_misses
 

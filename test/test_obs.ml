@@ -468,6 +468,65 @@ let engine_run ~workers () =
   let state = Core.State.create g ~early in
   Core.Engine.run { Core.Config.default with workers } statics ~weight ~state
 
+(* The phase table names every span the engine, the pool and the
+   checkpoint code emit. A traced N = 120 run that checkpoints every
+   round, then a resume from its last frame, must record only table
+   spans, and each round must hold exactly one [engine.begin_round]. *)
+let test_spans_in_phase_table () =
+  let module Phase = Nsobs.Phase in
+  let params = { (Topology.Params.with_n Topology.Params.default 120) with seed = 11 } in
+  let built = Topology.Gen.generate params in
+  let g = built.graph in
+  let weight = Traffic.Weights.assign g ~cp_fraction:0.1 in
+  let early = built.cps @ Asgraph.Metrics.top_by_degree g 5 in
+  let cfg = { Core.Config.default with workers = 2 } in
+  let path = Filename.temp_file "sbgp_test_phases" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Trace.set_enabled true;
+      let fresh () = (Bgp.Route_static.create g, Core.State.create g ~early) in
+      let statics, state = fresh () in
+      let r =
+        Core.Engine.run ~checkpoint:{ Core.Engine.path; every = 1 } cfg statics ~weight
+          ~state
+      in
+      check Alcotest.bool "the run checkpointed" true (List.length r.rounds > 1);
+      let statics, state = fresh () in
+      ignore (Core.Engine.resume ~from:path cfg statics ~weight ~state);
+      Trace.set_enabled false;
+      let events = Trace.events () in
+      let table = List.map (fun (p : Phase.t) -> p.span) Phase.all in
+      List.iter
+        (fun (e : Trace.event) ->
+          check Alcotest.bool (Printf.sprintf "span %S is in the table" e.name) true
+            (List.mem e.name table))
+        events;
+      List.iter
+        (fun (p : Phase.t) ->
+          check Alcotest.bool (Printf.sprintf "span %S recorded" p.span) true
+            (List.exists (fun (e : Trace.event) -> e.name = p.span) events))
+        Phase.
+          [
+            engine_run; engine_round; begin_round; probe; sweep; reduce; decide;
+            statics_prefill; baseline; checkpoint_write; checkpoint_load; pool_slice;
+          ];
+      let named (p : Phase.t) = List.filter (fun (e : Trace.event) -> e.name = p.span) events in
+      let rounds = named Phase.engine_round and begins = named Phase.begin_round in
+      check Alcotest.int "one begin_round per round" (List.length rounds)
+        (List.length begins);
+      List.iter
+        (fun (rd : Trace.event) ->
+          let inside =
+            List.filter
+              (fun (b : Trace.event) ->
+                b.tid = rd.tid && b.ts_us >= rd.ts_us
+                && b.ts_us +. b.dur_us <= rd.ts_us +. rd.dur_us)
+              begins
+          in
+          check Alcotest.int "begin_round nested in its round" 1 (List.length inside))
+        rounds)
+
 (* Both worker counts in ONE test case: the engine's metric handles
    are process-lifetime (forced lazily on first use), so the registry
    must not be reset between the two instrumented runs. *)
@@ -714,6 +773,7 @@ let () =
           tc "open, record across domains, flush, close" test_journal_cycle;
           tc "killed-run journal scans cleanly" test_journal_truncated_tail;
         ] );
+      ("phase", [ tc "engine spans all in the phase table" test_spans_in_phase_table ]);
       ( "differential",
         [
           tc "engine bit-identical, instrumentation on/off (workers 1 and 4)"

@@ -96,6 +96,54 @@ let test_no_tracked_generated_artifacts () =
       | Some files ->
           Alcotest.(check (list string)) "tracked generated artifacts" [] files)
 
+(* Every phase's span and histogram name is spelled once, in the phase
+   table ({!Nsobs.Phase}): a quoted table name anywhere else under lib/
+   or bench/ is a second spelling that can drift from it. *)
+let rec source_files dir =
+  Array.fold_left
+    (fun acc entry ->
+      let path = Filename.concat dir entry in
+      if Sys.is_directory path then source_files path @ acc
+      else if Filename.check_suffix entry ".ml" || Filename.check_suffix entry ".mli" then
+        path :: acc
+      else acc)
+    [] (Sys.readdir dir)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
+
+let test_phase_names_only_in_table () =
+  match find_root (Sys.getcwd ()) with
+  | None -> ()
+  | Some root ->
+      let table = Filename.concat (Filename.concat (Filename.concat root "lib") "obs") "phase.ml" in
+      let names =
+        List.concat_map
+          (fun (p : Nsobs.Phase.t) ->
+            p.span :: (match p.hist with Some h -> [ h.metric ] | None -> []))
+          Nsobs.Phase.all
+      in
+      let offences =
+        List.concat_map
+          (fun file ->
+            if file = table then []
+            else
+              let text = In_channel.with_open_bin file In_channel.input_all in
+              List.filter_map
+                (fun name ->
+                  if contains text ("\"" ^ name ^ "\"") then
+                    Some (Printf.sprintf "%s: \"%s\"" file name)
+                  else None)
+                names)
+          (List.concat_map
+             (fun d -> source_files (Filename.concat root d))
+             [ "lib"; "bench" ])
+      in
+      Alcotest.(check (list string)) "phase names spelled outside the table" []
+        (List.sort compare offences)
+
 let () =
   Alcotest.run "repo_hygiene"
     [
@@ -109,5 +157,7 @@ let () =
             test_gitignore_covers_generated_artifacts;
           Alcotest.test_case "no tracked generated artifacts" `Quick
             test_no_tracked_generated_artifacts;
+          Alcotest.test_case "phase names only in the phase table" `Quick
+            test_phase_names_only_in_table;
         ] );
     ]
