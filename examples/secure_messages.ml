@@ -10,7 +10,7 @@ let () =
   Printf.printf "== RPKI: certificates and ROAs ==\n";
   let registry = Rpki.Registry.create ~seed:7 in
   let enroll asn =
-    match Rpki.Registry.enroll registry ~asn ~prefixes:[ Bgpsec.Netsim_prefix.of_as asn ] with
+    match Rpki.Registry.enroll registry ~asn ~prefixes:[ Bgpsec.Netsim.prefix_of_as asn ] with
     | Ok cert -> cert
     | Error e -> failwith e
   in
@@ -18,7 +18,7 @@ let () =
   let _ = enroll origin and _ = enroll transit and _ = enroll customer in
   check "origin's certificate chain validates"
     (Result.is_ok (Rpki.Registry.verify_as_chain registry ~asn:origin));
-  let prefix = Bgpsec.Netsim_prefix.of_as origin in
+  let prefix = Bgpsec.Netsim.prefix_of_as origin in
   check "ROA says the origin may announce its prefix"
     (Rpki.Registry.origin_validity registry ~prefix ~origin_asn:origin = Rpki.Roa.Valid);
   check "ROA rejects anyone else announcing it"

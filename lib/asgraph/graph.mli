@@ -79,7 +79,7 @@ val rel_to_string : rel -> string
     relative to a base graph: edges inserted or withdrawn, nodes
     appended at the end of the id space, and content-provider
     participation toggles. Deltas drive the Section 8.4 evolution
-    epochs and the incremental statics repair in
+    epochs and the incremental repair of the statics store in
     {!Bgp.Route_static}. *)
 
 type op =

@@ -945,106 +945,6 @@ let repair g' ~delta info =
   | None -> compute ~tiebreak:info.tb g' info.dest
 
 (* ------------------------------------------------------------------ *)
-(* CSR invariant self-checks: cheap structural validation of one
-   record — the invariant probe at the post-repair boundary in
-   [rebase]. A record that passes is
-   structurally sound: offsets monotone and bounded, the order a
-   duplicate-free ascending-length permutation of exactly the
-   reachable nodes, every row member in range, and the reverse
-   tiebreak CSR holding exactly the transposed multiset of the forward
-   rows (sum and xor of a pairwise hash — a corrupted member or a
-   shifted row boundary perturbs at least one accumulator). It does
-   NOT prove the record equals a fresh [compute] — that is the churn
-   differential suite's job — but every in-tree corruption
-   (bit-flipped offsets, truncated rows, spliced members) lands
-   here. Cost: O(record size), the same order as copying it. *)
-
-exception Invariant of string
-
-let check_info g info =
-  let n = Graph.n g in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Invariant m)) fmt in
-  match
-    if info.dest < 0 || info.dest >= n then
-      fail "dest %d out of range [0, %d)" info.dest n;
-    if Bytes.length info.cls <> n then
-      fail "cls length %d, expected %d" (Bytes.length info.cls) n;
-    if Bytes.length info.len <> n then
-      fail "len length %d, expected %d" (Bytes.length info.len) n;
-    if I32.length info.tie_off <> n + 1 then
-      fail "tie_off length %d, expected %d" (I32.length info.tie_off) (n + 1);
-    if I32.length info.tie_rev_off <> n + 1 then
-      fail "tie_rev_off length %d, expected %d" (I32.length info.tie_rev_off) (n + 1);
-    let total = I32.length info.tie in
-    let rev_total = I32.length info.tie_rev in
-    if ba_get info.tie_off 0 <> 0 then
-      fail "tie_off.(0) = %d, expected 0" (ba_get info.tie_off 0);
-    for i = 0 to n - 1 do
-      if ba_get info.tie_off (i + 1) < ba_get info.tie_off i then
-        fail "tie_off not monotone at row %d" i
-    done;
-    if ba_get info.tie_off n <> total then
-      fail "tie_off.(%d) = %d, expected %d" n (ba_get info.tie_off n) total;
-    if ba_get info.tie_rev_off 0 <> 0 then
-      fail "tie_rev_off.(0) = %d, expected 0" (ba_get info.tie_rev_off 0);
-    for i = 0 to n - 1 do
-      if ba_get info.tie_rev_off (i + 1) < ba_get info.tie_rev_off i then
-        fail "tie_rev_off not monotone at row %d" i
-    done;
-    if ba_get info.tie_rev_off n <> rev_total then
-      fail "tie_rev_off.(%d) = %d, expected %d" n (ba_get info.tie_rev_off n) rev_total;
-    let nreach = I32.length info.order in
-    if nreach > n then fail "order length %d exceeds n = %d" nreach n;
-    let reach_count = ref 0 in
-    for i = 0 to n - 1 do
-      if Bytes.unsafe_get info.cls i <> c_unreach then incr reach_count
-    done;
-    if nreach <> !reach_count then
-      fail "order length %d, but %d reachable nodes" nreach !reach_count;
-    if nreach > 0 && ba_get info.order 0 <> info.dest then
-      fail "order.(0) = %d, expected dest %d" (ba_get info.order 0) info.dest;
-    let seen = Bytes.make n '\000' in
-    let prev_len = ref 0 in
-    for k = 0 to nreach - 1 do
-      let i = ba_get info.order k in
-      if i < 0 || i >= n then fail "order.(%d) = %d out of range" k i;
-      if Bytes.get seen i = '\001' then fail "order repeats node %d" i;
-      Bytes.set seen i '\001';
-      if Bytes.unsafe_get info.cls i = c_unreach then
-        fail "order lists unreachable node %d" i;
-      let l = Char.code (Bytes.unsafe_get info.len i) in
-      if l < !prev_len then fail "order not ascending in length at position %d" k;
-      prev_len := l
-    done;
-    if nreach > 0 && info.max_len <> !prev_len then
-      fail "max_len = %d, expected %d" info.max_len !prev_len;
-    let sum_f = ref 0 and xor_f = ref 0 in
-    for i = 0 to n - 1 do
-      for k = ba_get info.tie_off i to ba_get info.tie_off (i + 1) - 1 do
-        let j = ba_get info.tie k in
-        if j < 0 || j >= n then fail "tie row %d holds out-of-range member %d" i j;
-        let h = Nsutil.Prng.mix2 i j in
-        sum_f := !sum_f + h;
-        xor_f := !xor_f lxor h
-      done
-    done;
-    let sum_r = ref 0 and xor_r = ref 0 in
-    for p = 0 to n - 1 do
-      for k = ba_get info.tie_rev_off p to ba_get info.tie_rev_off (p + 1) - 1 do
-        let m = ba_get info.tie_rev k in
-        if m < 0 || m >= n then fail "tie_rev row %d holds out-of-range member %d" p m;
-        let h = Nsutil.Prng.mix2 m p in
-        sum_r := !sum_r + h;
-        xor_r := !xor_r lxor h
-      done
-    done;
-    if !sum_f <> !sum_r || !xor_f <> !xor_r then
-      fail "tie/tie_rev permutation digests disagree"
-  with
-  | () -> Ok ()
-  | exception Invariant m -> Error m
-
-(* ------------------------------------------------------------------ *)
 (* The whole-graph statics store: lazily filled, optionally bounded.
 
    Memory is governed by a byte budget ([SBGP_STATICS_MB], --statics-mb
@@ -1342,7 +1242,7 @@ let ensure_all ?(workers = 1) t =
    the swap, so [undo_rebase] is an O(1) pointer restore, mirroring
    the once-per-node undo log of [Forest.repair] one level up. *)
 
-type rebase_stats = { shared : int; patched : int; dropped : int; invalid : int }
+type rebase_stats = { shared : int; patched : int; dropped : int }
 
 type journal = {
   j_g : Graph.t;
@@ -1355,24 +1255,7 @@ type journal = {
   j_changed : int list;
 }
 
-(* Fault injection, site [statics.repair]: hand back a corrupted copy
-   of a freshly patched record (never a physically shared one — that
-   would mutate live data) with its first CSR offset smashed, which
-   the post-repair validation in phase 2 is guaranteed to catch. *)
-let maybe_corrupt faults ~old info' =
-  match faults with
-  | Some f when info' != old -> (
-      match Nsutil.Faults.fires f "statics.repair" with
-      | Some _ ->
-          let len = I32.length info'.tie_off in
-          let bad = I32.create len in
-          I32.blit ~src:info'.tie_off ~src_pos:0 ~dst:bad ~dst_pos:0 ~len;
-          ba_set bad 0 (-1);
-          { info' with tie_off = bad }
-      | None -> info')
-  | _ -> info'
-
-let rebase ?kernel ?(workers = 1) ?faults t ~delta g' =
+let rebase ?kernel ?(workers = 1) t ~delta g' =
   let kernel = match kernel with Some k -> k | None -> kernel_of_env () in
   let base_n = delta.Graph.base_n in
   if Graph.n t.g <> base_n then
@@ -1400,7 +1283,6 @@ let rebase ?kernel ?(workers = 1) ?faults t ~delta g' =
   let shared = ref 0
   and patched = ref 0
   and dropped = ref 0
-  and invalid = ref 0
   and changed = ref [] in
   (match kernel with
   | Full ->
@@ -1418,12 +1300,7 @@ let rebase ?kernel ?(workers = 1) ?faults t ~delta g' =
          scratch, per-delta not per-entry). Phase 2, serial: inserts
          in the same fixed order as a serial rebase, so budget
          accounting, eviction state and stats are bit-identical at
-         any worker count. Every freshly patched record is validated
-         ({!check_info}) before insertion — the post-repair boundary
-         of the degradation ladder: a record the surgery (or an
-         injected [statics.repair] fault) corrupted is dropped for
-         lazy recompute instead of poisoning the delta kernels, so
-         results stay bit-identical even under corruption. *)
+         any worker count. *)
       let results = Array.make (max 1 base_n) None in
       Parallel.Pool.parallel_for Parallel.Pool.no_supervision ~workers ~tasks:base_n
         ~grain:32
@@ -1433,12 +1310,7 @@ let rebase ?kernel ?(workers = 1) ?faults t ~delta g' =
         (fun rx d ->
           match old_slots.(d) with
           | None -> ()
-          | Some info ->
-              results.(d) <-
-                Some
-                  (Option.map
-                     (fun info' -> maybe_corrupt faults ~old:info info')
-                     (repair_with_ctx rx info)));
+          | Some info -> results.(d) <- Some (repair_with_ctx rx info));
       for d = base_n - 1 downto 0 do
         match results.(d) with
         | None ->
@@ -1446,23 +1318,11 @@ let rebase ?kernel ?(workers = 1) ?faults t ~delta g' =
                it unchanged either. *)
             changed := d :: !changed
         | Some (Some info') ->
+            insert t d info';
             if (match old_slots.(d) with Some info -> info' == info | None -> false)
-            then begin
-              insert t d info';
-              incr shared
-            end
+            then incr shared
             else begin
-              (match check_info g' info' with
-              | Ok () ->
-                  insert t d info';
-                  incr patched
-              | Error reason ->
-                  incr invalid;
-                  Nsutil.Warnings.emit
-                    (Printf.sprintf
-                       "sbgp: statics rebase: dropping invalid patched record for \
-                        destination %d (%s); it will recompute lazily"
-                       d reason));
+              incr patched;
               changed := d :: !changed
             end
         | Some None ->
@@ -1476,8 +1336,7 @@ let rebase ?kernel ?(workers = 1) ?faults t ~delta g' =
     j_shards = old_shards;
     j_shard_idx = old_idx;
     j_tiebreak = t.tiebreak;
-    j_stats =
-      { shared = !shared; patched = !patched; dropped = !dropped; invalid = !invalid };
+    j_stats = { shared = !shared; patched = !patched; dropped = !dropped };
     j_changed = !changed;
   }
 

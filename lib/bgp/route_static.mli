@@ -143,19 +143,6 @@ val repair_surgical :
     (physically shared) when the delta provably cannot affect this
     destination at all. *)
 
-val check_info : Asgraph.Graph.t -> dest_info -> (unit, string) result
-(** Cheap structural self-check of one record against its graph — the
-    invariant probe {!rebase} runs on every patched record. Verifies, in O(record size):
-    CSR offset monotonicity and bounds for both tie CSRs, that [order]
-    is a duplicate-free ascending-length permutation of exactly the
-    reachable nodes starting at [dest], that [max_len] matches the
-    last order entry, that every tie member is in range, and that
-    [tie_rev] is the exact transpose of [tie] (compared as a multiset
-    of (row, member) pairs via an order-insensitive sum/xor digest —
-    collisions are possible in principle but not constructible by the
-    single-byte corruptions the fault harness injects). [Error reason]
-    names the first violated invariant. *)
-
 (** {2 The whole-graph store} *)
 
 type t
@@ -239,13 +226,6 @@ type rebase_stats = {
   shared : int;  (** resident entries untouched by the delta, kept as-is *)
   patched : int;  (** resident entries repaired surgically *)
   dropped : int;  (** resident entries the churn reached, left for lazy recompute *)
-  invalid : int;
-      (** patched entries that failed the {!check_info} structural
-          validation and were dropped for lazy recompute instead of
-          being inserted — the degradation ladder's per-destination
-          [delta -> full] statics demotion. Always [0] unless a fault
-          plan (site [statics.repair]) or a real repair bug corrupts a
-          patched record. *)
 }
 
 type journal
@@ -255,7 +235,6 @@ type journal
 val rebase :
   ?kernel:kernel ->
   ?workers:int ->
-  ?faults:Nsutil.Faults.t ->
   t ->
   delta:Asgraph.Graph.delta ->
   Asgraph.Graph.t ->
@@ -271,13 +250,8 @@ val rebase :
     resulting store is bit-identical at any worker count. Entries the
     churn reaches are dropped and recompute lazily
     against [g'] on their next {!get}, as do entries under [Full].
-    Every surgically patched record is structurally validated
-    ({!check_info}) before insertion; a record that fails — possible
-    only under fault injection (site [statics.repair], which corrupts
-    a freshly patched, never shared, record) or a repair bug — is
-    dropped for lazy recompute and counted in [rebase_stats.invalid]:
-    the outcome stays bit-identical because {!compute} is the
-    reference the patch is contracted to equal.
+    A patched record is inserted as is: the churn differential suite
+    checks it {!info_equal} to a fresh {!compute} after every rebase.
     After a rebase the store never serves pre-churn info. Hit/miss/
     eviction counters restart from zero. Not thread-safe: call between
     engine runs, never concurrently with {!get}. Raises

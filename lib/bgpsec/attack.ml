@@ -3,7 +3,7 @@ module Prefix = Netaddr.Prefix
 let fresh_registry () = Rpki.Registry.create ~seed:97
 
 let enroll registry asn =
-  match Rpki.Registry.enroll registry ~asn ~prefixes:[ Netsim_prefix.of_as asn ] with
+  match Rpki.Registry.enroll registry ~asn ~prefixes:[ Netsim.prefix_of_as asn ] with
   | Ok _ -> ()
   | Error e -> invalid_arg e
 
@@ -15,7 +15,7 @@ let origin_hijack_detected () =
   enroll registry observer;
   (* The attacker originates the victim's prefix under its own ASN. *)
   let hijack =
-    Sbgp.forge ~prefix:(Netsim_prefix.of_as victim) ~path:[ attacker ] ~target:observer
+    Sbgp.forge ~prefix:(Netsim.prefix_of_as victim) ~path:[ attacker ] ~target:observer
   in
   match Sbgp.validate registry ~receiver:observer hijack with
   | Error (Sbgp.Origin_invalid Rpki.Roa.Invalid_origin) -> true
@@ -25,7 +25,7 @@ let path_forgery_detected () =
   let registry = fresh_registry () in
   let origin = 1 and honest = 2 and attacker = 3 and observer = 4 in
   List.iter (enroll registry) [ origin; honest; attacker; observer ];
-  let prefix = Netsim_prefix.of_as origin in
+  let prefix = Netsim.prefix_of_as origin in
   let step1 = Sbgp.originate registry ~origin ~prefix ~target:honest ~signed:true in
   match step1 with
   | Error _ -> false
@@ -47,7 +47,7 @@ let replay_to_wrong_neighbor_detected () =
   let registry = fresh_registry () in
   let origin = 10 and a = 11 and b = 12 in
   List.iter (enroll registry) [ origin; a; b ];
-  let prefix = Netsim_prefix.of_as origin in
+  let prefix = Netsim.prefix_of_as origin in
   match Sbgp.originate registry ~origin ~prefix ~target:a ~signed:true with
   | Error _ -> false
   | Ok ann -> begin
@@ -76,7 +76,7 @@ let delegation_risk () =
   let stub = 64700 and provider = 64701 and observer = 64702 in
   List.iter (enroll registry) [ stub; provider; observer ];
   ignore provider;
-  let prefix = Netsim_prefix.of_as stub in
+  let prefix = Netsim.prefix_of_as stub in
   (* With delegation the provider holds the stub's signing key and can
      fabricate exactly the announcement the stub itself would have
      produced — indistinguishable to any verifier. (Holding the key is
@@ -105,7 +105,7 @@ let appendix_b ~prefer_partial =
   enroll registry p;
   enroll registry q;
   enroll registry v;
-  let prefix = Netsim_prefix.of_as v in
+  let prefix = Netsim.prefix_of_as v in
   (* True path: v -> s -> r -> p, no attestations (v signs its
      origination but s and r are insecure, so the chain is broken; we
      model the common case where the insecure hops just strip /

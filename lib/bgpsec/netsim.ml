@@ -12,7 +12,9 @@ type setup = {
   tiebreak : Bgp.Policy.tiebreak;
 }
 
-let prefix_of_as = Netsim_prefix.of_as
+let prefix_of_as asn =
+  let b = (asn lsr 8) land 0xff and c = asn land 0xff in
+  Prefix.make (Netaddr.Ipv4.of_octets 10 b c 0) 24
 
 let prepare ?(protocol = S_bgp) ?(tiebreak = Bgp.Policy.Lowest_id) ?(seed = 1) g ~modes =
   if Array.length modes <> Graph.n g then invalid_arg "Netsim.prepare: modes length";

@@ -46,4 +46,5 @@ val route_to : setup -> dest:int -> outcome
     monotonically under the Appendix-A policies (Appendix G). *)
 
 val prefix_of_as : int -> Netaddr.Prefix.t
-(** The deterministic prefix assigned to an AS by [prepare]. *)
+(** The deterministic prefix [prepare] assigns to an AS, also used by
+    the attack demos: [10.(asn lsr 8 land 0xff).(asn land 0xff).0/24]. *)

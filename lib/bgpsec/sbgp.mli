@@ -72,7 +72,8 @@ val of_wire_parts :
   target:int ->
   sigs:Scrypto.Sig_scheme.signature list ->
   announcement
-(** Reassemble a decoded announcement ({!Wire.decode}); structural
+(** Assemble an announcement from its fields, as an attacker that
+    rewrites a signed copy would ({!Attack} re-addresses one); structural
     only — nothing is verified until {!validate}. *)
 
 val enrolled_hops : Rpki.Registry.t -> announcement -> int

@@ -78,9 +78,8 @@ let write_frame ?faults ~degrade ~path ~digest ~round (p : progress) =
     Checkpoint.write ?faults ~kind:Checkpoint.Churn ~path ~digest ~round
       (Marshal.to_string p [])
   with Checkpoint.Error (Checkpoint.Io m) when degrade ->
-    (* Same ladder rung as the engine's: the tmp+rename protocol kept
-       the previous frame, and losing one snapshot interval beats
-       losing the run. *)
+    (* As in the engine: the tmp+rename protocol kept the previous
+       frame, and losing one snapshot interval beats losing the run. *)
     Nsutil.Warnings.emit
       (Printf.sprintf
          "sbgp: churn: checkpoint write failed (%s); continuing on the previous \
@@ -185,32 +184,15 @@ let run_epochs ~params ~(cfg : Config.t) ~faults ~checkpoint ~digest ~early ~sta
       in
       let statics =
         match cfg.statics_kernel with
-        | Route_static.Delta -> (
+        | Route_static.Delta ->
             (* Timed here rather than in [Route_static] itself: lib/bgp
                deliberately has no nsobs dependency, and this is the only
                epoch-boundary rebase path. *)
-            let j =
-              Nsobs.Phase.run Nsobs.Phase.statics_rebase (fun () ->
-                  Route_static.rebase ~kernel:Route_static.Delta ~workers:cfg.workers
-                    ?faults statics ~delta grown)
-            in
-            (* Fault site evolve.delta: the epoch migration is declared
-               failed after the fact. Recovery exercises the journal —
-               undo the rebase (an O(1) restore to the pre-churn
-               store), then fall back to the full statics kernel for
-               this boundary: a cold store on the grown graph, which
-               recomputes the same records lazily, so results stay
-               bit-identical. *)
-            match faults with
-            | Some f when Faults.fires f "evolve.delta" <> None ->
-                Route_static.undo_rebase statics j;
-                Nsutil.Warnings.emit
-                  (Printf.sprintf
-                     "sbgp: churn: injected rebase failure at epoch %d; rebuilding \
-                      the statics store from scratch"
-                     k);
-                Route_static.create grown
-            | _ -> statics)
+            Nsobs.Phase.run Nsobs.Phase.statics_rebase (fun () ->
+                ignore
+                  (Route_static.rebase ~kernel:Route_static.Delta ~workers:cfg.workers
+                     statics ~delta grown));
+            statics
         | Route_static.Full -> Route_static.create grown
       in
       (* Count this epoch's new stubs that landed on >= 1 secure provider. *)

@@ -75,13 +75,10 @@ val run :
   outcome
 (** Run all epochs from the given initial graph and early-adopter
     list. [faults] (default: [SBGP_FAULTS]) is threaded into the
-    engine sweeps, the rebase step (sites [statics.repair] and
-    [evolve.delta] — the latter declares an epoch migration failed,
-    exercising {!Bgp.Route_static.undo_rebase} plus a full rebuild,
-    bit-identical by the kernel parity contract) and the checkpoint
-    writer. With [Core.Config.degrade] set, failed checkpoint writes
-    are skipped with a warning instead of raised, like the engine's
-    ladder. *)
+    engine sweeps and the checkpoint writer. With
+    [Core.Config.degrade] set, a failed write of an epoch-boundary or
+    mid-epoch frame is skipped with a warning instead of raised, as
+    the engine does. *)
 
 val resume :
   from:string ->

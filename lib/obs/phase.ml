@@ -47,7 +47,7 @@ let baseline = phase "engine" "engine.baseline"
 
 let statics_rebase =
   phase "statics" "statics.rebase"
-    ~hist:(hist "statics repair" "statics store churn rebase (ms)" "statics_rebase_ms")
+    ~hist:(hist "statics rebase" "statics store churn rebase (ms)" "statics_rebase_ms")
 
 let checkpoint_write =
   phase "checkpoint" "checkpoint.write"

@@ -3,8 +3,8 @@ exception Injected of { site : string; shot : int }
 type spec = { seed : int; rate : float; budget : int; after : int }
 
 (* One arming: a seeded rate, a shot budget and a warm-up count, with
-   its own atomic counters. A plan is one optional default cell (serving
-   every site without a dedicated cell) plus site-scoped cells. *)
+   its own atomic counters. A plan is a list of cells, each scoped to
+   one site. *)
 type cell = {
   c_seed : int;
   c_rate : float;
@@ -14,20 +14,11 @@ type cell = {
   c_fired : int Atomic.t;
 }
 
-type t = { default : cell option; sites : (string * cell) list }
+type t = (string * cell) list
 
-(* Every site name threaded through the codebase; [of_env] warns when
-   a plan scopes a cell to a name outside this list (a typo would
-   otherwise silently disable the injection). *)
-let known_sites =
-  [
-    "pool.task";
-    "pool.hang";
-    "checkpoint.corrupt";
-    "checkpoint.io";
-    "statics.repair";
-    "evolve.delta";
-  ]
+(* Every site the code fires; [of_env] warns when a plan names another
+   (a typo would otherwise silently disable the injection). *)
+let known_sites = [ "pool.task"; "pool.hang"; "checkpoint.io"; "checkpoint.corrupt" ]
 
 let cell_of_spec { seed; rate; budget; after } =
   {
@@ -39,23 +30,15 @@ let cell_of_spec { seed; rate; budget; after } =
     c_fired = Atomic.make 0;
   }
 
-let create ?(rate = 1.0) ?(budget = 1) ?(after = 0) ~seed () =
-  { default = Some (cell_of_spec { seed; rate; budget; after }); sites = [] }
-
-let of_spec spec = { default = Some (cell_of_spec spec); sites = [] }
-
 let of_plan entries =
-  let default = ref None
-  and sites = ref [] in
-  List.iter
-    (fun (site, spec) ->
-      match site with
-      | None -> if !default = None then default := Some (cell_of_spec spec)
-      | Some name ->
-          if not (List.mem_assoc name !sites) then
-            sites := (name, cell_of_spec spec) :: !sites)
-    entries;
-  { default = !default; sites = List.rev !sites }
+  List.fold_left
+    (fun acc (site, spec) ->
+      if List.mem_assoc site acc then acc else (site, cell_of_spec spec) :: acc)
+    [] entries
+  |> List.rev
+
+let create ?(rate = 1.0) ?(budget = 1) ?(after = 0) ~seed site =
+  [ (site, cell_of_spec { seed; rate; budget; after }) ]
 
 (* djb2: a stable cross-run string hash (Hashtbl.hash would also do,
    but its stability is an implementation detail). *)
@@ -64,30 +47,9 @@ let site_hash s =
   String.iter (fun c -> h := (((!h lsl 5) + !h) + Char.code c) land max_int) s;
   !h
 
-(* The sites added after the legacy single-spec grammar never fall
-   back to the default cell: letting them consume default-cell shots
-   would silently reshuffle every pre-existing fault schedule (tests
-   aim their [after] offsets at the pool.task shot sequence), and a
-   hang or I/O failure is something a plan should opt into by name.
-   Every other site — including ad-hoc names — keeps the legacy
-   default-cell behavior. *)
-let scoped_only_sites =
-  [ "pool.hang"; "checkpoint.io"; "statics.repair"; "evolve.delta" ]
-
-let cell_for t site =
-  match List.assoc_opt site t.sites with
-  | Some c -> Some c
-  | None -> if List.mem site scoped_only_sites then None else t.default
-
-let sum_cells t f =
-  let d = match t.default with Some c -> f c | None -> 0 in
-  List.fold_left (fun a (_, c) -> a + f c) d t.sites
-
+let sum_cells t f = List.fold_left (fun a (_, c) -> a + f c) 0 t
 let shots t = sum_cells t (fun c -> Atomic.get c.c_shots)
 let fired t = sum_cells t (fun c -> Atomic.get c.c_fired)
-
-let fired_at t site =
-  match cell_for t site with Some c -> Atomic.get c.c_fired | None -> 0
 
 (* Claim one unit of budget; never goes below zero under contention. *)
 let rec claim c =
@@ -101,7 +63,7 @@ let draw c ~shot ~site =
   float_of_int v /. 4.611686018427387904e18 (* 2^62 *)
 
 let fires t site =
-  match cell_for t site with
+  match List.assoc_opt site t with
   | None -> None
   | Some c ->
       let shot = Atomic.fetch_and_add c.c_shots 1 in
@@ -144,9 +106,7 @@ let parse_spec s =
       match int_of_string_opt seed with Some seed -> k seed | None -> err ())
 
 (* Plan grammar: semicolon-separated entries, each
-   [site=]seed:rate[:budget[:after]]. An entry without [site=] is the
-   default cell (the legacy single-spec grammar is thus a one-entry
-   plan). *)
+   site=seed:rate[:budget[:after]]. *)
 let parse_plan s =
   let entries =
     String.split_on_char ';' s
@@ -159,19 +119,21 @@ let parse_plan s =
     let rec parse acc = function
       | [] -> Ok (List.rev acc)
       | e :: rest -> (
-          let site, spec_str =
-            match String.index_opt e '=' with
-            | Some i ->
-                ( Some (String.trim (String.sub e 0 i)),
-                  String.sub e (i + 1) (String.length e - i - 1) )
-            | None -> (None, e)
-          in
-          match site with
-          | Some "" -> Error (Printf.sprintf "bad fault plan entry %S: empty site name" e)
-          | _ -> (
-              match parse_spec spec_str with
-              | Ok spec -> parse ((site, spec) :: acc) rest
-              | Error reason -> Error reason))
+          match String.index_opt e '=' with
+          | None ->
+              Error
+                (Printf.sprintf
+                   "bad fault plan entry %S: expected site=seed:rate[:budget[:after]] \
+                    (e.g. \"pool.task=7:0.05:2\")"
+                   e)
+          | Some i -> (
+              let site = String.trim (String.sub e 0 i) in
+              if site = "" then
+                Error (Printf.sprintf "bad fault plan entry %S: empty site name" e)
+              else
+                match parse_spec (String.sub e (i + 1) (String.length e - i - 1)) with
+                | Ok spec -> parse ((site, spec) :: acc) rest
+                | Error reason -> Error reason))
     in
     parse [] entries
 
@@ -184,13 +146,12 @@ let of_env () =
       match parse_plan s with
       | Ok entries ->
           List.iter
-            (function
-              | Some site, _ when not (List.mem site known_sites) ->
-                  Warnings.emit
-                    (Printf.sprintf
-                       "warning: %s: unknown fault site %S (known: %s)" env_var site
-                       (String.concat ", " known_sites))
-              | _ -> ())
+            (fun (site, _) ->
+              if not (List.mem site known_sites) then
+                Warnings.emit
+                  (Printf.sprintf "warning: %s: unknown fault site %S (known: %s)"
+                     env_var site
+                     (String.concat ", " known_sites)))
             entries;
           Some (of_plan entries)
       | Error warning ->

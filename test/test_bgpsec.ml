@@ -18,7 +18,7 @@ let registry_with asns =
   let reg = Registry.create ~seed:11 in
   List.iter
     (fun asn ->
-      match Registry.enroll reg ~asn ~prefixes:[ Bgpsec.Netsim_prefix.of_as asn ] with
+      match Registry.enroll reg ~asn ~prefixes:[ Bgpsec.Netsim.prefix_of_as asn ] with
       | Ok _ -> ()
       | Error e -> failwith e)
     asns;
@@ -41,7 +41,7 @@ let test_modes () =
 
 let test_sbgp_two_hop_chain () =
   let reg = registry_with [ 1; 2; 3 ] in
-  let prefix = Bgpsec.Netsim_prefix.of_as 1 in
+  let prefix = Bgpsec.Netsim.prefix_of_as 1 in
   let ann = Result.get_ok (Sbgp.originate reg ~origin:1 ~prefix ~target:2 ~signed:true) in
   let fwd = Result.get_ok (Sbgp.forward reg ~sender:2 ~target:3 ~signed:true ann) in
   check Alcotest.(list int) "path sender-first" [ 2; 1 ] fwd.Sbgp.path;
@@ -50,7 +50,7 @@ let test_sbgp_two_hop_chain () =
 
 let test_sbgp_unsigned_passthrough () =
   let reg = registry_with [ 1; 2; 3 ] in
-  let prefix = Bgpsec.Netsim_prefix.of_as 1 in
+  let prefix = Bgpsec.Netsim.prefix_of_as 1 in
   let ann = Result.get_ok (Sbgp.originate reg ~origin:1 ~prefix ~target:2 ~signed:false) in
   check Alcotest.bool "unsigned" false (Sbgp.fully_signed ann);
   let fwd = Result.get_ok (Sbgp.forward reg ~sender:2 ~target:3 ~signed:true ann) in
@@ -63,11 +63,11 @@ let test_sbgp_unsigned_passthrough () =
 
 let test_sbgp_tamper_prefix () =
   let reg = registry_with [ 1; 2 ] in
-  let prefix = Bgpsec.Netsim_prefix.of_as 1 in
+  let prefix = Bgpsec.Netsim.prefix_of_as 1 in
   let ann = Result.get_ok (Sbgp.originate reg ~origin:1 ~prefix ~target:2 ~signed:true) in
   (* Replay the announcement under a different (also ROA'd) prefix:
      AS 2 also holds a prefix, forge with its bytes. *)
-  let forged = Sbgp.forge ~prefix:(Bgpsec.Netsim_prefix.of_as 2) ~path:ann.Sbgp.path ~target:2 in
+  let forged = Sbgp.forge ~prefix:(Bgpsec.Netsim.prefix_of_as 2) ~path:ann.Sbgp.path ~target:2 in
   check Alcotest.bool "forged prefix does not validate" true
     (Result.is_error (Sbgp.validate reg ~receiver:2 forged))
 
@@ -86,7 +86,7 @@ let test_sbgp_error_strings () =
 
 let test_sbgp_enrolled_hops () =
   let reg = registry_with [ 1; 2 ] in
-  let ann = Sbgp.forge ~prefix:(Bgpsec.Netsim_prefix.of_as 1) ~path:[ 9; 2; 1 ] ~target:0 in
+  let ann = Sbgp.forge ~prefix:(Bgpsec.Netsim.prefix_of_as 1) ~path:[ 9; 2; 1 ] ~target:0 in
   check Alcotest.int "counts enrolled" 2 (Sbgp.enrolled_hops reg ann)
 
 (* ------------------------------------------------------------------ *)
@@ -134,102 +134,6 @@ let test_appendix_b () =
   let unsound = Attack.appendix_b ~prefer_partial:true in
   check Alcotest.bool "partial preference is fooled" true unsound.chose_false_path;
   check Alcotest.int "via q" 4 unsound.next_hop
-
-(* ------------------------------------------------------------------ *)
-(* Wire encoding *)
-
-let sample_announcement () =
-  let reg = registry_with [ 1; 2; 3 ] in
-  let prefix = Bgpsec.Netsim_prefix.of_as 1 in
-  let ann = Result.get_ok (Sbgp.originate reg ~origin:1 ~prefix ~target:2 ~signed:true) in
-  (reg, Result.get_ok (Sbgp.forward reg ~sender:2 ~target:3 ~signed:true ann))
-
-let test_wire_roundtrip_signed () =
-  let reg, ann = sample_announcement () in
-  let bytes = Bgpsec.Wire.encode ann in
-  match Bgpsec.Wire.decode bytes with
-  | Error e -> Alcotest.fail (Bgpsec.Wire.error_to_string e)
-  | Ok ann' ->
-      check Alcotest.(list int) "path survives" ann.Sbgp.path ann'.Sbgp.path;
-      check Alcotest.int "target survives" ann.Sbgp.target ann'.Sbgp.target;
-      check Alcotest.bool "prefix survives" true
-        (Netaddr.Prefix.equal ann.Sbgp.prefix ann'.Sbgp.prefix);
-      (* The decoded announcement still validates: the signatures came
-         through bit-exact. *)
-      check Alcotest.bool "still validates" true
-        (Result.is_ok (Sbgp.validate reg ~receiver:3 ann'))
-
-let test_wire_rejects_garbage () =
-  List.iter
-    (fun s ->
-      check Alcotest.bool (String.escaped s) true (Result.is_error (Bgpsec.Wire.decode s)))
-    [ ""; "SBG"; "XXXX"; "SBG1"; "SBG1\x00\x00" ]
-
-let test_wire_truncation_fuzz () =
-  let _, ann = sample_announcement () in
-  let bytes = Bgpsec.Wire.encode ann in
-  (* Every strict prefix must fail cleanly, never raise. *)
-  for len = 0 to String.length bytes - 1 do
-    match Bgpsec.Wire.decode (String.sub bytes 0 len) with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "truncation to %d bytes decoded" len
-  done;
-  (* Trailing garbage must also fail. *)
-  check Alcotest.bool "trailing bytes rejected" true
-    (Result.is_error (Bgpsec.Wire.decode (bytes ^ "x")))
-
-let test_wire_bad_prefix () =
-  let _, ann = sample_announcement () in
-  let bytes = Bytes.of_string (Bgpsec.Wire.encode ann) in
-  (* Corrupt the prefix length byte (offset 4 + 4). *)
-  Bytes.set bytes 8 '\xff';
-  check Alcotest.bool "bad prefix length rejected" true
-    (Result.is_error (Bgpsec.Wire.decode (Bytes.to_string bytes)))
-
-let test_wire_fuzz_qcheck =
-  qtest ~count:300 "random bytes never crash the decoder"
-    QCheck2.Gen.(string_size (int_range 0 120))
-    (fun s ->
-      match Bgpsec.Wire.decode s with Ok _ -> true | Error _ -> true)
-
-let test_wire_tamper_breaks_validation =
-  qtest ~count:100 "flipping any encoded byte breaks decode or validation"
-    QCheck2.Gen.(int_bound 10_000)
-    (fun raw ->
-      let reg, ann = sample_announcement () in
-      let bytes = Bytes.of_string (Bgpsec.Wire.encode ann) in
-      let pos = raw mod Bytes.length bytes in
-      Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor 0x01));
-      match Bgpsec.Wire.decode (Bytes.to_string bytes) with
-      | Error _ -> true
-      | Ok ann' ->
-          (* Structure survived; then either the content changed (so
-             validation fails) or the flipped bit was outside any
-             meaningful field — impossible in this strict format. *)
-          Result.is_error (Sbgp.validate reg ~receiver:3 ann'))
-
-let test_wire_decode_prefix_field () =
-  let encoded = Bgpsec.Wire.encode (Sbgp.forge ~prefix:(Netaddr.Prefix.of_string_exn "10.1.2.0/24") ~path:[ 1 ] ~target:2) in
-  (* The prefix field sits right after the 4-byte magic. *)
-  (match Bgpsec.Wire.decode_prefix encoded ~pos:4 with
-  | Ok (p, next) ->
-      check Alcotest.string "value" "10.1.2.0/24" (Netaddr.Prefix.to_string p);
-      check Alcotest.int "cursor" 9 next
-  | Error e -> Alcotest.fail (Bgpsec.Wire.error_to_string e));
-  check Alcotest.bool "short read" true
-    (Result.is_error (Bgpsec.Wire.decode_prefix "SBG1\x0a" ~pos:4))
-
-let test_session_insecure_destination () =
-  (* A destination running plain BGP: routes propagate but nothing
-     validates. *)
-  let g = Graph.build ~n:3 ~cp_edges:[ (1, 0); (2, 1) ] ~peer_edges:[] ~cps:[] in
-  let modes = [| Mode.Off; Mode.Full; Mode.Full |] in
-  let s = Bgpsec.Session.create g ~modes in
-  Bgpsec.Session.announce s ~origin:0;
-  check Alcotest.(list int) "route installed" [ 2; 1; 0 ]
-    (Bgpsec.Session.selected_path s ~node:2 ~origin:0);
-  check Alcotest.bool "but not validated" false
-    (Bgpsec.Session.route_validated s ~node:2 ~origin:0)
 
 (* ------------------------------------------------------------------ *)
 (* Key delegation (Section 2.2.1 footnote) *)
@@ -343,80 +247,6 @@ let test_netsim_converges_quickly () =
     outcome.chosen;
   check Alcotest.int "all validated under full deployment" !reachable !secured
 
-(* ------------------------------------------------------------------ *)
-(* Sessions: the event-driven wire-level protocol. *)
-
-let test_session_matches_netsim =
-  qtest ~count:50 "session fixed point equals netsim's" crosscheck_gen
-    (fun (g, modes, d, protocol) ->
-      let setup = Netsim.prepare ~protocol g ~modes in
-      let net_out = Netsim.route_to setup ~dest:d in
-      let session = Bgpsec.Session.create ~protocol g ~modes in
-      Bgpsec.Session.announce session ~origin:d;
-      let ok = ref true in
-      for u = 0 to Graph.n g - 1 do
-        if u <> d then begin
-          let net_path =
-            match net_out.chosen.(u) with
-            | Some ann -> u :: ann.Sbgp.path
-            | None -> []
-          in
-          let ses_path = Bgpsec.Session.selected_path session ~node:u ~origin:d in
-          if net_path <> ses_path then ok := false;
-          if
-            net_out.chosen.(u) <> None
-            && net_out.secure.(u) <> Bgpsec.Session.route_validated session ~node:u ~origin:d
-          then ok := false
-        end
-      done;
-      !ok)
-
-let test_session_multi_prefix_independent () =
-  let params = Topology.Params.with_n Topology.Params.default 80 in
-  let built = Topology.Gen.generate params in
-  let g = built.graph in
-  let n = Graph.n g in
-  let modes =
-    Array.init n (fun i -> if Graph.is_stub g i then Mode.Simplex else Mode.Full)
-  in
-  (* Announcing several prefixes through one session network must give
-     per-origin routes identical to announcing each alone. *)
-  let together = Bgpsec.Session.create g ~modes in
-  let origins = [ 0; n / 2; n - 1 ] in
-  List.iter (fun o -> Bgpsec.Session.announce together ~origin:o) origins;
-  List.iter
-    (fun o ->
-      let alone = Bgpsec.Session.create g ~modes in
-      Bgpsec.Session.announce alone ~origin:o;
-      for u = 0 to n - 1 do
-        if u <> o then
-          check Alcotest.(list int)
-            (Printf.sprintf "origin %d node %d" o u)
-            (Bgpsec.Session.selected_path alone ~node:u ~origin:o)
-            (Bgpsec.Session.selected_path together ~node:u ~origin:o)
-      done)
-    origins;
-  check Alcotest.bool "messages flowed" true
-    (Bgpsec.Session.messages_processed together > n);
-  check Alcotest.bool "bytes flowed" true (Bgpsec.Session.bytes_on_wire together > 0)
-
-let test_session_announce_idempotent () =
-  let params = Topology.Params.with_n Topology.Params.default 60 in
-  let built = Topology.Gen.generate params in
-  let g = built.graph in
-  let modes = Array.make (Graph.n g) Mode.Full in
-  let s = Bgpsec.Session.create g ~modes in
-  Bgpsec.Session.announce s ~origin:0;
-  let m1 = Bgpsec.Session.messages_processed s in
-  Bgpsec.Session.announce s ~origin:0;
-  check Alcotest.int "no extra messages" m1 (Bgpsec.Session.messages_processed s)
-
-let test_session_rejects_bad_origin () =
-  let g = Graph.build ~n:2 ~cp_edges:[ (0, 1) ] ~peer_edges:[] ~cps:[] in
-  let s = Bgpsec.Session.create g ~modes:[| Mode.Full; Mode.Full |] in
-  Alcotest.check_raises "out of range" (Invalid_argument "Session.announce") (fun () ->
-      Bgpsec.Session.announce s ~origin:7)
-
 let () =
   Alcotest.run "bgpsec"
     [
@@ -441,30 +271,11 @@ let () =
           Alcotest.test_case "appendix B" `Quick test_appendix_b;
           Alcotest.test_case "delegation risk" `Quick test_delegation_risk;
         ] );
-      ( "wire",
-        [
-          Alcotest.test_case "roundtrip signed" `Quick test_wire_roundtrip_signed;
-          Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
-          Alcotest.test_case "truncation fuzz" `Quick test_wire_truncation_fuzz;
-          Alcotest.test_case "bad prefix byte" `Quick test_wire_bad_prefix;
-          Alcotest.test_case "decode_prefix field" `Quick test_wire_decode_prefix_field;
-          test_wire_fuzz_qcheck;
-          test_wire_tamper_breaks_validation;
-        ] );
       ( "netsim",
         [
           test_netsim_matches_forest_paths;
           test_netsim_matches_forest_security;
           Alcotest.test_case "full deployment validates everything" `Quick
             test_netsim_converges_quickly;
-        ] );
-      ( "session",
-        [
-          test_session_matches_netsim;
-          Alcotest.test_case "multi-prefix independence" `Quick
-            test_session_multi_prefix_independent;
-          Alcotest.test_case "announce idempotent" `Quick test_session_announce_idempotent;
-          Alcotest.test_case "rejects bad origin" `Quick test_session_rejects_bad_origin;
-          Alcotest.test_case "insecure destination" `Quick test_session_insecure_destination;
         ] );
     ]

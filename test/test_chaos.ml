@@ -4,14 +4,14 @@
 
    The contract under test is the one the whole codebase is built on:
    contained faults — worker exceptions, hung slices, failed
-   checkpoint writes, failed statics migrations, invalid statics
-   records — change survival, never results. A failure past the retry
-   budget is not contained: it escapes the run, degradation or not.
+   checkpoint writes — change survival, never results. A failure past
+   the retry budget is not contained: it escapes the run, degradation
+   or not.
 
    Statics hit/miss/eviction counters are excluded from the
    comparisons where the recovery legitimately re-touches the store
-   (retried slices recompute, dropped records recompute lazily);
-   they are documented diagnostics, not results. *)
+   (retried slices recompute); they are documented diagnostics, not
+   results. *)
 
 module Engine = Core.Engine
 module State = Core.State
@@ -92,15 +92,13 @@ let baseline ~workers ~kernel =
 
 let matrix = [ (1, Config.Flip_full); (1, Config.Flip_delta); (4, Config.Flip_full); (4, Config.Flip_delta) ]
 
-let scoped site spec = Faults.of_plan [ (Some site, spec) ]
-
 (* ------------------------------------------------------------------ *)
 (* Cell 1: worker faults within the retry budget. *)
 
 let test_pool_task_within_budget () =
   List.iter
     (fun (workers, kernel) ->
-      let faults = Faults.create ~rate:0.02 ~budget:2 ~seed:3 () in
+      let faults = Faults.create ~rate:0.02 ~budget:2 ~seed:3 "pool.task" in
       let r = run_engine ~faults (cfg ~workers ~kernel ()) in
       check_result_equal (baseline ~workers ~kernel) r;
       check Alcotest.int
@@ -113,9 +111,7 @@ let test_pool_task_within_budget () =
 let test_pool_hang_watchdog () =
   List.iter
     (fun (workers, kernel) ->
-      let faults =
-        scoped "pool.hang" { Faults.seed = 7; rate = 1.0; budget = 1; after = 40 }
-      in
+      let faults = Faults.create ~rate:1.0 ~budget:1 ~after:40 ~seed:7 "pool.hang" in
       let r = run_engine ~faults (cfg ~workers ~kernel ~timeout_ms:50 ()) in
       check_result_equal (baseline ~workers ~kernel) r;
       check Alcotest.int "the hang fired" 1 (Faults.fired faults))
@@ -131,9 +127,7 @@ let test_checkpoint_io_degraded () =
       Fun.protect
         ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
         (fun () ->
-          let faults =
-            scoped "checkpoint.io" { Faults.seed = 5; rate = 1.0; budget = 2; after = 0 }
-          in
+          let faults = Faults.create ~rate:1.0 ~budget:2 ~seed:5 "checkpoint.io" in
           let r =
             run_engine ~checkpoint:{ Engine.path; every = 1 } ~faults
               (cfg ~workers ~kernel ~degrade:true ())
@@ -152,7 +146,7 @@ let test_sweep_failure_escapes () =
     (fun (workers, kernel) ->
       (* [after] skips past the pre-loop baseline (n tasks), so the
          fault lands in a round's sweep. *)
-      let faults = Faults.create ~rate:1.0 ~budget:1 ~seed:9 ~after:(3 * n) () in
+      let faults = Faults.create ~rate:1.0 ~budget:1 ~seed:9 ~after:(3 * n) "pool.task" in
       match run_engine ~faults (cfg ~workers ~kernel ~retries:0 ~degrade:true ()) with
       | _ -> Alcotest.fail "the sweep failure was swallowed"
       | exception Pool.Supervision_failed fs ->
@@ -160,9 +154,9 @@ let test_sweep_failure_escapes () =
     matrix
 
 (* ------------------------------------------------------------------ *)
-(* Churn cells: faults inside the epoch migration. The statics kernel
+(* Churn cells: faults inside the churn runner. The statics kernel
    replaces the flip kernel as the swept axis; outcomes are compared
-   without the miss diagnostic (recovery recomputes lazily). *)
+   without the miss diagnostic. *)
 
 let check_outcome_equal (a : Evolution_run.outcome) (b : Evolution_run.outcome) =
   check Alcotest.int "summary count" (List.length a.summaries) (List.length b.summaries);
@@ -211,43 +205,34 @@ let churn_matrix =
     (4, Bgp.Route_static.Delta);
   ]
 
-(* Cell 5: invalid statics records surfaced during the rebase
-   validation — dropped and recomputed, results unchanged. *)
+(* Cell 5: every churn frame write failing under degradation — the
+   epoch-boundary frames and the every-round mid-epoch frames are all
+   skipped with a warning, and the outcome is the fault-free one. *)
 
-let test_statics_repair_fault () =
+let test_churn_checkpoint_io_degraded () =
   List.iter
     (fun (workers, statics_kernel) ->
       let b = Lazy.force built in
-      let faults =
-        scoped "statics.repair" { Faults.seed = 21; rate = 1.0; budget = 2; after = 0 }
-      in
-      let o =
-        Evolution_run.run ~faults churn_params
-          (churn_cfg ~workers ~statics_kernel)
-          b.graph ~early:(early ())
-      in
-      check_outcome_equal (churn_baseline ~workers ~statics_kernel) o)
-    churn_matrix
-
-(* Cell 6: the epoch migration itself declared failed — the journal is
-   rolled back and the store rebuilt cold. Bit-identical by the kernel
-   parity contract. *)
-
-let test_evolve_delta_fault () =
-  List.iter
-    (fun (workers, statics_kernel) ->
-      let b = Lazy.force built in
-      let faults =
-        scoped "evolve.delta" { Faults.seed = 23; rate = 1.0; budget = 1; after = 0 }
-      in
-      let o =
-        Evolution_run.run ~faults churn_params
-          (churn_cfg ~workers ~statics_kernel)
-          b.graph ~early:(early ())
-      in
-      check_outcome_equal (churn_baseline ~workers ~statics_kernel) o;
-      if statics_kernel = Bgp.Route_static.Delta then
-        check Alcotest.bool "the migration fault fired" true (Faults.fired faults >= 1))
+      let path = Filename.temp_file "sbgp_chaos_churn" ".snap" in
+      Sys.remove path;
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          let faults = Faults.create ~rate:1.0 ~budget:max_int ~seed:25 "checkpoint.io" in
+          let o =
+            Evolution_run.run
+              ~checkpoint:{ Evolution_run.path; every_rounds = 1 }
+              ~faults churn_params
+              { (churn_cfg ~workers ~statics_kernel) with degrade = true }
+              b.graph ~early:(early ())
+          in
+          check_outcome_equal (churn_baseline ~workers ~statics_kernel) o;
+          (* One boundary frame per growth event plus the mid-epoch
+             frames were attempted, and every one of them failed. *)
+          check Alcotest.bool "boundary and mid-epoch writes attempted" true
+            (Faults.shots faults > churn_params.epochs);
+          check Alcotest.int "every write failed" (Faults.shots faults) (Faults.fired faults);
+          check Alcotest.bool "no frame reached the disk" false (Sys.file_exists path)))
     churn_matrix
 
 let () =
@@ -264,7 +249,7 @@ let () =
         ] );
       ( "churn",
         [
-          Alcotest.test_case "statics.repair recovery" `Quick test_statics_repair_fault;
-          Alcotest.test_case "evolve.delta rollback" `Quick test_evolve_delta_fault;
+          Alcotest.test_case "checkpoint.io under degrade" `Quick
+            test_churn_checkpoint_io_degraded;
         ] );
     ]

@@ -181,7 +181,7 @@ let test_injected_corruption_detected () =
      checkpoint.corrupt damages the file after checksumming, and load
      must reject it as Corrupt. *)
   with_temp (fun path ->
-      let faults = Faults.create ~rate:1.0 ~budget:1 ~seed:3 () in
+      let faults = Faults.create ~rate:1.0 ~budget:1 ~seed:3 "checkpoint.corrupt" in
       Checkpoint.write ~faults ~path ~digest:digest_a ~round:1 (String.make 64 'z');
       check Alcotest.int "corruption fired" 1 (Faults.fired faults);
       expect_error "deliberately corrupted"
@@ -254,8 +254,7 @@ let test_injected_io_failure () =
   with_temp (fun path ->
       Checkpoint.write ~path ~digest:digest_a ~round:1 "survivor";
       let faults =
-        Faults.of_plan
-          [ (Some "checkpoint.io", { Faults.seed = 3; rate = 1.0; budget = 1; after = 0 }) ]
+        Faults.create ~rate:1.0 ~budget:1 ~seed:3 "checkpoint.io"
       in
       (match Checkpoint.write ~faults ~path ~digest:digest_a ~round:2 "doomed" with
       | _ -> Alcotest.fail "expected the injected I/O fault to raise"
@@ -298,7 +297,7 @@ let test_kill_and_resume_identical () =
       with_temp (fun path ->
           let cfg, statics, weight, state = build_inputs () in
           let faults =
-            Faults.create ~rate:1.0 ~budget:1 ~after:((n * (1 + k)) + (n / 2)) ~seed:1 ()
+            Faults.create ~rate:1.0 ~budget:1 ~after:((n * (1 + k)) + (n / 2)) ~seed:1 "pool.task"
           in
           (match
              Engine.run
@@ -334,7 +333,7 @@ let test_resume_from_completed_run_tail () =
 let test_faulted_retried_run_identical () =
   let reference = clean_run () in
   let cfg, statics, weight, state = build_inputs ~retries:2 () in
-  let faults = Faults.create ~rate:0.01 ~budget:2 ~seed:13 () in
+  let faults = Faults.create ~rate:0.01 ~budget:2 ~seed:13 "pool.task" in
   let faulted = Engine.run ~faults cfg statics ~weight ~state in
   check Alcotest.bool "faults actually fired" true (Faults.fired faults > 0);
   check_result_equal reference faulted

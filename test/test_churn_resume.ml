@@ -130,8 +130,7 @@ let test_boundary_resume workers () =
    the shot fell. Resume must match the uninterrupted baseline. *)
 
 let kill_plan ~after =
-  Faults.of_plan
-    [ (Some "pool.task", { Faults.seed = 13; rate = 1.0; budget = 1; after }) ]
+  Faults.create ~rate:1.0 ~budget:1 ~after ~seed:13 "pool.task"
 
 let test_kill_and_resume workers =
   let name = Printf.sprintf "kill anywhere, resume identical (workers=%d)" workers in

@@ -197,7 +197,7 @@ let test_retries_recover () =
      the retry callback saw the contained failures. *)
   let tasks = 200 in
   let expected = tasks * (tasks - 1) / 2 in
-  let faults = Nsutil.Faults.create ~rate:1.0 ~budget:2 ~seed:3 () in
+  let faults = Nsutil.Faults.create ~rate:1.0 ~budget:2 ~seed:3 "pool.task" in
   let retried = ref 0 in
   let sv =
     Pool.supervision ~retries:2 ~backoff:0.0 ~faults
@@ -226,7 +226,7 @@ let test_serial_fallback () =
   (* retries = 1 means the single retry IS the final serial attempt:
      the injected failure must be absorbed by the calling domain's
      re-execution, with the sum unchanged. *)
-  let faults = Nsutil.Faults.create ~rate:1.0 ~budget:1 ~seed:5 ~after:10 () in
+  let faults = Nsutil.Faults.create ~rate:1.0 ~budget:1 ~seed:5 ~after:10 "pool.task" in
   let sv = Pool.supervision ~retries:1 ~backoff:0.0 ~faults () in
   let r = sum_slots ~sv ~workers:4 100 in
   check Alcotest.int "one injection absorbed by the serial retry" (100 * 99 / 2) r;
@@ -322,7 +322,7 @@ let test_float_parity_under_faults () =
     out
   in
   let clean = run Pool.no_supervision in
-  let faults = Nsutil.Faults.create ~rate:0.05 ~budget:3 ~seed:17 () in
+  let faults = Nsutil.Faults.create ~rate:0.05 ~budget:3 ~seed:17 "pool.task" in
   let faulted = run (Pool.supervision ~retries:2 ~backoff:0.0 ~faults ()) in
   check Alcotest.(array bits) "bit-identical floats" clean faulted;
   check Alcotest.int "faults fired" 3 (Nsutil.Faults.fired faults)
@@ -332,10 +332,7 @@ let test_float_parity_under_faults () =
    schedule *)
 
 let hang_plan ~after =
-  (* [pool.hang] is a scoped-only site: it must be named to fire, so a
-     plan for it can never disturb the [pool.task] shot schedule. *)
-  Nsutil.Faults.of_plan
-    [ (Some "pool.hang", { Nsutil.Faults.seed = 7; rate = 1.0; budget = 1; after }) ]
+  Nsutil.Faults.create ~rate:1.0 ~budget:1 ~after ~seed:7 "pool.hang"
 
 let test_watchdog_recovers_hung_task () =
   (* One injected hang stalls a chunk until the watchdog cancels it;

@@ -144,6 +144,66 @@ let test_phase_names_only_in_table () =
       Alcotest.(check (list string)) "phase names spelled outside the table" []
         (List.sort compare offences)
 
+(* The fault-site table and the code agree: every site literal passed
+   to [Faults.fires] or [Faults.trip] under lib/ is in
+   {!Nsutil.Faults.known_sites}, and every known site has a call site.
+   A call whose site is not a literal cannot be checked and fails too. *)
+let fault_call_sites text =
+  let n = String.length text in
+  let is_space c = c = ' ' || c = '\n' || c = '\t' || c = '\r' in
+  let rec skip_space i = if i < n && is_space text.[i] then skip_space (i + 1) else i in
+  let rec skip_word i = if i < n && not (is_space text.[i]) then skip_word (i + 1) else i in
+  let site_after i =
+    (* [i] is just past the function name: skip the plan argument. *)
+    let j = skip_space (skip_word (skip_space i)) in
+    if j < n && text.[j] = '"' then
+      match String.index_from_opt text (j + 1) '"' with
+      | Some k -> Some (String.sub text (j + 1) (k - j - 1))
+      | None -> None
+    else None
+  in
+  let rec scan i acc =
+    if i >= n then List.rev acc
+    else
+      match
+        List.find_opt
+          (fun f -> i + String.length f <= n && String.sub text i (String.length f) = f)
+          [ "Faults.fires "; "Faults.trip " ]
+      with
+      | Some f ->
+          let j = i + String.length f in
+          scan j (site_after (j - 1) :: acc)
+      | None -> scan (i + 1) acc
+  in
+  scan 0 []
+
+let test_fault_sites_match_code () =
+  match find_root (Sys.getcwd ()) with
+  | None -> ()
+  | Some root ->
+      let calls =
+        List.concat_map
+          (fun file ->
+            let text = In_channel.with_open_bin file In_channel.input_all in
+            List.map (fun site -> (file, site)) (fault_call_sites text))
+          (source_files (Filename.concat root "lib"))
+      in
+      let offences =
+        List.filter_map
+          (fun (file, site) ->
+            match site with
+            | None -> Some (Printf.sprintf "%s: fault site not a string literal" file)
+            | Some s when not (List.mem s Nsutil.Faults.known_sites) ->
+                Some (Printf.sprintf "%s: site %S not in Faults.known_sites" file s)
+            | Some _ -> None)
+          calls
+      in
+      Alcotest.(check (list string)) "fault sites outside the table" []
+        (List.sort compare offences);
+      let fired = List.filter_map snd calls in
+      Alcotest.(check (list string)) "known sites no code fires" []
+        (List.filter (fun s -> not (List.mem s fired)) Nsutil.Faults.known_sites)
+
 let () =
   Alcotest.run "repo_hygiene"
     [
@@ -159,5 +219,7 @@ let () =
             test_no_tracked_generated_artifacts;
           Alcotest.test_case "phase names only in the phase table" `Quick
             test_phase_names_only_in_table;
+          Alcotest.test_case "fault sites match the code" `Quick
+            test_fault_sites_match_code;
         ] );
     ]

@@ -1,4 +1,4 @@
-(* Churn differential suite for the incremental statics repair path:
+(* Churn differential suite for the incremental statics-store repair path:
    random GR1 graphs under random topology churn — stub attachment,
    edge insertion, edge withdrawal, edge class change, content-provider
    designation flips — with every repaired [Route_static.dest_info]

@@ -375,7 +375,7 @@ let test_faults_deterministic () =
   (* Two plans with the same parameters fire on exactly the same shots
      (serial execution). *)
   let schedule () =
-    let t = Faults.create ~rate:0.3 ~budget:1000 ~seed:42 () in
+    let t = Faults.create ~rate:0.3 ~budget:1000 ~seed:42 "site" in
     List.init 200 (fun _ -> Option.is_some (Faults.fires t "site"))
   in
   check Alcotest.(list bool) "same schedule" (schedule ()) (schedule ());
@@ -383,17 +383,21 @@ let test_faults_deterministic () =
   check Alcotest.bool "some shots pass" true (List.exists not (schedule ()))
 
 let test_faults_budget_bound () =
-  let t = Faults.create ~rate:1.0 ~budget:3 ~seed:1 () in
+  let t = Faults.create ~rate:1.0 ~budget:3 ~seed:1 "s" in
   let fired = ref 0 in
   for _ = 1 to 100 do
     if Option.is_some (Faults.fires t "s") then incr fired
   done;
   check Alcotest.int "stops at the budget" 3 !fired;
   check Alcotest.int "fired counter agrees" 3 (Faults.fired t);
-  check Alcotest.int "all shots counted" 100 (Faults.shots t)
+  check Alcotest.int "all shots counted" 100 (Faults.shots t);
+  (* A site the plan does not name never fires and counts nothing. *)
+  let u = Faults.create ~rate:1.0 ~budget:3 ~seed:1 "s" in
+  check Alcotest.bool "unnamed site silent" false (Option.is_some (Faults.fires u "other"));
+  check Alcotest.int "unnamed site uncounted" 0 (Faults.shots u)
 
 let test_faults_after_arming () =
-  let t = Faults.create ~rate:1.0 ~budget:100 ~after:10 ~seed:1 () in
+  let t = Faults.create ~rate:1.0 ~budget:100 ~after:10 ~seed:1 "s" in
   let fires = List.init 30 (fun _ -> Option.is_some (Faults.fires t "s")) in
   List.iteri
     (fun i f ->
@@ -403,7 +407,7 @@ let test_faults_after_arming () =
     fires
 
 let test_faults_trip_raises () =
-  let t = Faults.create ~rate:1.0 ~budget:1 ~seed:9 () in
+  let t = Faults.create ~rate:1.0 ~budget:1 ~seed:9 "worker" in
   (match Faults.trip t "worker" with
   | exception Faults.Injected { site = "worker"; shot = 0 } -> ()
   | exception Faults.Injected { site; shot } ->
@@ -429,13 +433,13 @@ let test_faults_parse_spec () =
     [ ""; "x"; "7:"; "7:2.0"; "7:-0.1"; "7:0.5:-1"; "7:0.5:1:-2"; "7:0.5:1:2:3" ]
 
 let test_faults_parse_plan () =
-  (* Multi-site grammar: [site=]seed:rate[:budget[:after]], semicolons
-     between cells, at most one default (unscoped) cell. *)
-  (match Faults.parse_plan "3:0.5;pool.hang=7:1.0:1:40" with
+  (* Plan grammar: site=seed:rate[:budget[:after]], semicolons between
+     cells. *)
+  (match Faults.parse_plan "pool.task=3:0.5;pool.hang=7:1.0:1:40" with
   | Ok
       [
-        (None, { Faults.seed = 3; rate = 0.5; budget = 1; after = 0 });
-        (Some "pool.hang", { Faults.seed = 7; rate = 1.0; budget = 1; after = 40 });
+        ("pool.task", { Faults.seed = 3; rate = 0.5; budget = 1; after = 0 });
+        ("pool.hang", { Faults.seed = 7; rate = 1.0; budget = 1; after = 40 });
       ] ->
       ()
   | Ok cells -> Alcotest.failf "unexpected plan shape (%d cells)" (List.length cells)
@@ -445,28 +449,27 @@ let test_faults_parse_plan () =
       match Faults.parse_plan s with
       | Ok _ -> Alcotest.failf "%S accepted" s
       | Error e -> check Alcotest.bool "message non-empty" true (String.length e > 0))
-    [ ""; ";;"; "=7"; "pool.hang="; "pool.hang=oops"; "3:0.5;bad" ]
+    [ ""; ";;"; "=7"; "pool.hang="; "pool.hang=oops"; "pool.task=3:0.5;bad" ]
 
-let test_faults_scoped_only_sites () =
-  (* The default cell arms every legacy and ad-hoc site, but NEVER the
-     destructive post-legacy sites — those fire only when named, so an
-     old single-cell plan's shot schedule cannot shift. *)
-  let t = Faults.of_plan [ (None, { Faults.seed = 1; rate = 1.0; budget = 8; after = 0 }) ] in
-  check Alcotest.bool "ad-hoc site uses the default cell" true
-    (Option.is_some (Faults.fires t "anything"));
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
+
+let test_faults_unscoped_rejected () =
+  (* Every cell names its site: a bare spec is an error that says so. *)
   List.iter
-    (fun site ->
-      check Alcotest.bool (site ^ " never falls back") false
-        (Option.is_some (Faults.fires t site)))
-    [ "pool.hang"; "checkpoint.io"; "statics.repair"; "evolve.delta" ];
-  (* A scoped cell fires for its site and nothing else. *)
-  let s =
-    Faults.of_plan [ (Some "pool.hang", { Faults.seed = 1; rate = 1.0; budget = 1; after = 0 }) ]
-  in
-  check Alcotest.bool "other sites silent" false (Option.is_some (Faults.fires s "pool.task"));
-  check Alcotest.bool "named site fires" true (Option.is_some (Faults.fires s "pool.hang"))
+    (fun s ->
+      match Faults.parse_plan s with
+      | Ok _ -> Alcotest.failf "%S accepted" s
+      | Error e ->
+          check Alcotest.bool (Printf.sprintf "%S: message names site=" s) true
+            (contains e "site="))
+    [ "3:0.01:2"; "7"; "pool.hang=7:1.0;3:0.5" ]
 
-let test_faults_unknown_site_warns () =
+(* [SBGP_FAULTS] set to [v]: the plan [of_env] builds and the warnings
+   it emits. *)
+let of_env_with v =
   let captured = ref [] in
   Nsutil.Warnings.set_handler (fun m -> captured := m :: !captured);
   Fun.protect
@@ -474,37 +477,43 @@ let test_faults_unknown_site_warns () =
       Nsutil.Warnings.set_handler prerr_endline;
       Unix.putenv "SBGP_FAULTS" "")
     (fun () ->
-      Unix.putenv "SBGP_FAULTS" "nosuchsite=1:1.0";
-      (match Faults.of_env () with
-      | Some _ -> ()
-      | None -> Alcotest.fail "a typo'd site must still build the plan");
-      check Alcotest.bool "warned about the unknown site" true
-        (List.exists
-           (fun m ->
-             let has sub =
-               let n = String.length sub in
-               let rec go i =
-                 i + n <= String.length m && (String.sub m i n = sub || go (i + 1))
-               in
-               go 0
-             in
-             has "unknown fault site" && has "nosuchsite")
-           !captured))
+      Unix.putenv "SBGP_FAULTS" v;
+      let plan = Faults.of_env () in
+      (plan, !captured))
+
+let test_faults_legacy_env_ignored () =
+  (* The retired bare grammar builds no plan (the run is fault-free),
+     and the warning says what is missing. *)
+  let plan, warnings = of_env_with "3:0.01:2" in
+  check Alcotest.bool "no plan" true (Option.is_none plan);
+  check Alcotest.bool "warned about the missing site=" true
+    (List.exists (fun m -> contains m "SBGP_FAULTS" && contains m "site=") warnings)
+
+let test_faults_known_sites () =
+  check
+    Alcotest.(list string)
+    "the sites the code fires"
+    [ "pool.task"; "pool.hang"; "checkpoint.io"; "checkpoint.corrupt" ]
+    Faults.known_sites
+
+let test_faults_unknown_site_warns () =
+  let plan, warnings = of_env_with "nosuchsite=1:1.0" in
+  check Alcotest.bool "a typo'd site still builds the plan" true (Option.is_some plan);
+  check Alcotest.bool "warned about the unknown site" true
+    (List.exists (fun m -> contains m "unknown fault site" && contains m "nosuchsite") warnings)
 
 let test_faults_of_env () =
-  Unix.putenv "SBGP_FAULTS" "5:1.0:2";
-  (match Faults.of_env () with
-  | Some t ->
+  (match of_env_with "pool.task=5:1.0:2" with
+  | Some t, _ ->
       check Alcotest.int "fresh plan, no shots" 0 (Faults.shots t);
-      ignore (Faults.fires t "s");
-      ignore (Faults.fires t "s");
+      ignore (Faults.fires t "pool.task");
+      ignore (Faults.fires t "pool.task");
+      ignore (Faults.fires t "pool.task");
       check Alcotest.int "budget honoured" 2 (Faults.fired t)
-  | None -> Alcotest.fail "expected a plan from SBGP_FAULTS");
-  Unix.putenv "SBGP_FAULTS" "not-a-spec";
-  (match Faults.of_env () with
-  | None -> ()
-  | Some _ -> Alcotest.fail "malformed spec must yield None");
-  Unix.putenv "SBGP_FAULTS" ""
+  | None, _ -> Alcotest.fail "expected a plan from SBGP_FAULTS");
+  match of_env_with "not-a-spec" with
+  | None, _ -> ()
+  | Some _, _ -> Alcotest.fail "malformed spec must yield None"
 
 (* ------------------------------------------------------------------ *)
 (* I32: compact int32 vectors. *)
@@ -637,7 +646,10 @@ let () =
           Alcotest.test_case "trip raises" `Quick test_faults_trip_raises;
           Alcotest.test_case "parse_spec" `Quick test_faults_parse_spec;
           Alcotest.test_case "parse_plan" `Quick test_faults_parse_plan;
-          Alcotest.test_case "scoped-only sites" `Quick test_faults_scoped_only_sites;
+          Alcotest.test_case "unscoped entry rejected" `Quick test_faults_unscoped_rejected;
+          Alcotest.test_case "bare SBGP_FAULTS spec ignored" `Quick
+            test_faults_legacy_env_ignored;
+          Alcotest.test_case "known sites" `Quick test_faults_known_sites;
           Alcotest.test_case "unknown site warns" `Quick test_faults_unknown_site_warns;
           Alcotest.test_case "of_env" `Quick test_faults_of_env;
         ] );
